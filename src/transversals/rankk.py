@@ -1,18 +1,34 @@
 """General enumerator of minimal transversals, correct for every rank.
 
-Rule order: halt on an edge-free state (emit if minimal against the
-untouched input) or on an empty edge; then reductions (isolated vertex,
-subsumed edge, unit edge); then the degree-1 branch; otherwise the
-smallest-edge branch. In the smallest-edge branch over e = v_1..v_|e|
-(vertices shared with the overlap partner first), branch i discards
-v_1..v_{i-1} and selects v_i, so branch i enumerates exactly the minimal
-transversals whose first vertex along that ordering is v_i.
+Rule order: halt on an edge-free state (emit if the partial set is a
+minimal transversal of the input) or on an empty edge; then reductions
+(isolated vertex, subsumed edge, unit edge); then the degree-1 branch;
+otherwise the smallest-edge branch. In the smallest-edge branch over
+e = v_1..v_|e| (vertices shared with the overlap partner first), branch i
+discards v_1..v_{i-1} and selects v_i, so branch i enumerates exactly the
+minimal transversals whose first vertex along that ordering is v_i.
+
+The subsumed-edge rule drops the canonically smallest edge that strictly
+contains another edge. The set of such edges is computed once at the root
+and carried down the tree. A child keeps the parent's subsumed edges that
+it still has and adds the strict-subset pairs that involve a mask new in
+the child. Only a discard creates new masks, by shrinking the edges
+through the discarded vertex; select and drop_edge only remove edges. A
+new pair must involve a new mask, and a subsumed edge that survives
+unchanged keeps its witness: the rule never drops an inclusion-minimal
+edge, a select that removes the witness removes the superset too, and a
+discard that shrinks the witness changes the superset's mask as well. So
+a child costs O(|new masks| * |E|) instead of a rescan of all edge pairs.
+The root's set also gives the input's inclusion-minimal edges, which have
+the same minimal transversals as the input; the leaf check runs on them.
 """
 
 from __future__ import annotations
 
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import groupby
 
 from .bitsets import edge_key, iter_bits, set_of
 from .errors import SearchInvariantError
@@ -28,16 +44,60 @@ class B2Choice:
     ordering: tuple[int, ...]
 
 
-def _subsumed_superset(edges: frozenset[int]) -> int | None:
-    """Canonically smallest edge that strictly contains another edge."""
-    best = None
-    for e2 in edges:
-        for e1 in edges:
-            if e1 != e2 and e1 & e2 == e1:
-                if best is None or edge_key(e2) < edge_key(best):
-                    best = e2
-                break
-    return best
+def _subsumed(edges: frozenset[int]) -> set[int]:
+    """Every edge that strictly contains another edge.
+
+    Only a smaller edge can be a strict subset, so each edge is compared
+    with the edges of smaller size alone.
+    """
+    out: set[int] = set()
+    smaller: list[int] = []
+    for _, group in groupby(sorted(edges, key=int.bit_count), key=int.bit_count):
+        same_size = list(group)
+        out.update(f for f in same_size if any(g & f == g for g in smaller))
+        smaller += same_size
+    return out
+
+
+def _derive_subsumed(subsumed: set[int], parent: frozenset[int], child: frozenset[int]) -> set[int]:
+    """The subsumed edges of a child state, from those of its parent.
+
+    Exact for a child reached by selects, discards, or dropping one edge
+    of `subsumed` (the module docstring gives the argument).
+    """
+    out = subsumed & child
+    for g in child - parent:
+        for f in child:
+            if f != g:
+                common = f & g
+                if common == g:
+                    out.add(f)
+                elif common == f:
+                    out.add(g)
+    return out
+
+
+class _EdgeKeys(dict):
+    """Canonical edge keys, memoized for the masks of one run."""
+
+    def __missing__(self, mask: int) -> tuple[int, ...]:
+        key = self[mask] = edge_key(mask)
+        return key
+
+
+class _Run:
+    """Lookups shared by every node of one run.
+
+    `leaf_graph` has the same minimal transversals as the input (the
+    input's inclusion-minimal edges, or the input itself); `key` is the
+    canonical edge order, memoized for this run only.
+    """
+
+    __slots__ = ("leaf_graph", "key")
+
+    def __init__(self, leaf_graph: Hypergraph) -> None:
+        self.leaf_graph = leaf_graph
+        self.key = _EdgeKeys().__getitem__
 
 
 def _degrees(edges: frozenset[int]) -> dict[int, int]:
@@ -48,14 +108,16 @@ def _degrees(edges: frozenset[int]) -> dict[int, int]:
     return deg
 
 
-def _choose_b2(edges: frozenset[int]) -> B2Choice:
+def _choose_b2(
+    edges: frozenset[int], key: Callable[[int], tuple[int, ...]] = edge_key
+) -> B2Choice:
     min_size = min(e.bit_count() for e in edges)
-    e = min((x for x in edges if x.bit_count() == min_size), key=edge_key)
+    e = min((x for x in edges if x.bit_count() == min_size), key=key)
     partners = [f for f in edges if f != e and f & e]
     if not partners:
         raise ValueError("smallest edge overlaps no other edge; an earlier rule applies")
     best = max((f & e).bit_count() for f in partners)
-    e_prime = min((f for f in partners if (f & e).bit_count() == best), key=edge_key)
+    e_prime = min((f for f in partners if (f & e).bit_count() == best), key=key)
     shared = sorted(iter_bits(e & e_prime))
     private = sorted(iter_bits(e & ~e_prime))
     return B2Choice(set_of(e), set_of(e_prime), tuple(shared + private))
@@ -92,7 +154,9 @@ def enumerate_rankk(
     stats = SearchStats()
     root = Instance.from_hypergraph(h)
     _bump_recursion_limit(root.eta())
-    _search(root, sink, stats, 0, minimality_discards)
+    subsumed = _subsumed(root.emasks)
+    run = _Run(Hypergraph(h.n, (set_of(e) for e in root.emasks - subsumed)))
+    _search(root, sink, stats, 0, minimality_discards, subsumed, run)
     return stats
 
 
@@ -102,7 +166,18 @@ def _search(
     stats: SearchStats,
     depth: int,
     minimality_discards: bool,
+    subsumed: set[int] | None = None,
+    run: _Run | None = None,
 ) -> None:
+    """Enumerate the subtree rooted at inst.
+
+    `subsumed` holds the edges of inst that strictly contain another of
+    its edges; without it, and without `run`, both are computed from inst.
+    """
+    if subsumed is None:
+        subsumed = _subsumed(inst.emasks)
+    if run is None:
+        run = _Run(inst.original)
     stats.nodes += 1
     if depth > stats.max_depth:
         stats.max_depth = depth
@@ -111,7 +186,7 @@ def _search(
     if not edges:  # H1
         stats.leaves += 1
         s = inst.partial
-        if inst.original.is_minimal_transversal(s):
+        if run.leaf_graph.is_minimal_transversal(s):
             sink(s)
             stats.outputs += 1
         return
@@ -127,40 +202,39 @@ def _search(
     children: list[Instance]
     if isolated:  # R1
         children = [inst.discard((isolated & -isolated).bit_length() - 1)]
+    elif subsumed:  # R2
+        children = [inst.drop_edge(set_of(min(subsumed, key=run.key)))]
     else:
-        dropped = _subsumed_superset(edges)
-        if dropped is not None:  # R2
-            children = [inst.drop_edge(set_of(dropped))]
+        units = [e for e in edges if e.bit_count() == 1]
+        if units:  # R3
+            children = [inst.select(min(units).bit_length() - 1)]
         else:
-            units = [e for e in edges if e.bit_count() == 1]
-            if units:  # R3
-                children = [inst.select(min(units).bit_length() - 1)]
-            else:
-                deg = _degrees(edges)
-                ones = [v for v, d in deg.items() if d == 1]
-                if ones:  # B1
-                    v = min(ones)
-                    vb = 1 << v
-                    em = next(e for e in edges if e & vb)
-                    selected = inst.select(v)
-                    if minimality_discards:
-                        for x in sorted(iter_bits(em & ~vb)):
-                            selected = selected.discard(x)
-                    children = [inst.discard(v), selected]
-                else:  # B2
-                    choice = _choose_b2(edges)
-                    children = []
-                    current = inst
-                    for v in choice.ordering:
-                        children.append(current.select(v))
-                        current = current.discard(v)
+            deg = _degrees(edges)
+            ones = [v for v, d in deg.items() if d == 1]
+            if ones:  # B1
+                v = min(ones)
+                vb = 1 << v
+                em = next(e for e in edges if e & vb)
+                selected = inst.select(v)
+                if minimality_discards:
+                    for x in sorted(iter_bits(em & ~vb)):
+                        selected = selected.discard(x)
+                children = [inst.discard(v), selected]
+            else:  # B2
+                choice = _choose_b2(edges, run.key)
+                children = []
+                current = inst
+                for v in choice.ordering:
+                    children.append(current.select(v))
+                    current = current.discard(v)
 
     eta = inst.eta()
     for child in children:
         if child.eta() > eta - 1:
             raise SearchInvariantError("|V|+|E| did not decrease")
     for child in children:
-        _search(child, sink, stats, depth + 1, minimality_discards)
+        child_subsumed = _derive_subsumed(subsumed, edges, child.emasks)
+        _search(child, sink, stats, depth + 1, minimality_discards, child_subsumed, run)
 
 
 def _bump_recursion_limit(eta: int) -> None:

@@ -1,7 +1,7 @@
 import pytest
 
 import transversals as tv
-from transversals import Hypergraph, Instance, choose_b2, enumerate_rankk
+from transversals import Hypergraph, Instance, choose_b2, enumerate_rankk, rankk
 from transversals.hypergraph import SearchStats
 from transversals.rankk import _search
 
@@ -167,3 +167,73 @@ def test_shared_hypergraph_concurrent_runs():
         t.join()
     assert all(r == results[0] for r in results)
     assert len(results[0]) == 100
+
+
+def grown(h, extra):
+    """h plus, for every edge e, the redundant superset e | {extra(e)}."""
+    return Hypergraph(h.n, list(h.edges) + [set(e) | {extra(e)} for e in h.edges])
+
+
+def superset_heavy():
+    lb4 = tv.gen_lower_bound(4, 14)
+    lb3 = tv.gen_lower_bound(3, 10)
+    return [
+        grown(lb4, lambda e: min(set(range(1, 15)) - e)),  # supersets inside a block
+        grown(lb3, lambda e: (min(e) + 4) % 10 + 1),  # supersets across the two blocks
+        *(tv.gen_random(tv.GeneratorSpec("random", k=6, n=9, m=60, seed=s)) for s in range(3)),
+    ]
+
+
+def rescan(edges):
+    """Subsumed edges by definition: those strictly containing another edge."""
+    return {f for f in edges for g in edges if g != f and g & f == g}
+
+
+class TestCarriedSubsumedSet:
+    def test_derived_set_equals_rescan_at_every_child(self, monkeypatch):
+        derive = rankk._derive_subsumed
+        children = with_new_masks = 0
+
+        def checked(subsumed, parent, child):
+            nonlocal children, with_new_masks
+            got = derive(subsumed, parent, child)
+            assert got == rescan(child)
+            children += 1
+            with_new_masks += bool(child - parent)
+            return got
+
+        monkeypatch.setattr(rankk, "_derive_subsumed", checked)
+        for h in instance_deck(150) + superset_heavy():
+            assert rankk._subsumed(frozenset(h.edge_masks())) == rescan(h.edge_masks())
+            enumerate_rankk(h, lambda t: None)
+        assert with_new_masks > 1000 and children > with_new_masks
+
+    def test_exact_for_any_select_or_discard(self):
+        # the engine only discards once the set is empty; the rule itself
+        # must also hold when the parent still has subsumed edges
+        for h in instance_deck(60) + superset_heavy():
+            root = Instance(h)
+            subsumed = rescan(root.emasks)
+            for v in range(1, h.n + 1):
+                for child in (root.select(v), root.discard(v)):
+                    got = rankk._derive_subsumed(subsumed, root.emasks, child.emasks)
+                    assert got == rescan(child.emasks)
+
+    def test_superset_heavy_inputs_match_oracle(self):
+        for h in superset_heavy():
+            assert run(enumerate_rankk, h) == oracle(h)
+
+
+@pytest.mark.parametrize(
+    "h,shape",
+    [
+        (tv.gen_lower_bound(3, 15), (2776, 1000, 15, 1000)),
+        (Hypergraph(300, [{i} for i in range(1, 301)]), (301, 1, 300, 1)),
+        (tv.gen_random(tv.GeneratorSpec("random", k=4, n=20, m=30, seed=3)), (89, 16, 39, 16)),
+    ],
+)
+def test_tree_shape_pinned(h, shape):
+    # (nodes, leaves, max_depth, outputs): a change to how rules are
+    # evaluated must leave the tree itself unchanged
+    stats = enumerate_rankk(h, lambda t: None)
+    assert (stats.nodes, stats.leaves, stats.max_depth, stats.outputs) == shape
