@@ -102,23 +102,23 @@ def _run_engine(name: str, h: Hypergraph, alpha: float, sink) -> SearchStats:
     raise ValueError(f"unknown algorithm {name!r}")
 
 
-def _format_transversal(t: frozenset[int]) -> str:
-    return " ".join(map(str, sorted(t)))
-
-
 def _cmd_enumeration(args: argparse.Namespace) -> int:
     h = _read_input(args.input)
     algorithm = _pick_algorithm(args.algorithm, h)
     out = sys.stdout
+    labels = [str(v) for v in range(h.n + 1)]
+
+    def line(vertices) -> str:
+        return " ".join([labels[v] for v in vertices]) + "\n"
 
     if args.command == "enumerate":
         if getattr(args, "canonical", False):
             collected: list[tuple[int, ...]] = []
             stats = _run_engine(algorithm, h, args.alpha, lambda t: collected.append(tuple(sorted(t))))
             for row in sorted(collected):
-                out.write(" ".join(map(str, row)) + "\n")
+                out.write(line(row))
         else:
-            stats = _run_engine(algorithm, h, args.alpha, lambda t: out.write(_format_transversal(t) + "\n"))
+            stats = _run_engine(algorithm, h, args.alpha, lambda t: out.write(line(sorted(t))))
     elif args.command == "count":
         stats = _run_engine(algorithm, h, args.alpha, lambda t: None)
         out.write(f"{stats.outputs}\n")
@@ -131,7 +131,7 @@ def _cmd_enumeration(args: argparse.Namespace) -> int:
 
         stats = _run_engine(algorithm, h, args.alpha, track)
         if best:
-            out.write(_format_transversal(best[0]) + "\n")
+            out.write(line(sorted(best[0])))
     elif args.command == "count-minimum":
         state = {"size": None, "count": 0}
 

@@ -17,6 +17,16 @@ the branches stay a partition and no set is emitted twice. Emission happens
 only at R0_1, after a minimality check against the untouched input, because
 the partial set reaching an edge-free state need not be minimal.
 
+`next_rule` reads the working edges once. That pass collects the size-1
+and size-2 edges and three degree bit-planes s1, s2, s3, the vertices of
+degree >= 1, >= 2 and >= 3. R1_0 reads vmask & ~s1; R1_1 only looks for
+supersets of small edges that lie inside s2; R2 takes its pivot from
+s1 & ~s2 and tests its companions' degree 1 against s2; R4 splits on s3:
+with s3 empty every vertex has degree exactly 2 (R4_2/R4_3, pivot the
+lowest bit of s1), otherwise R4_1. Exact degree counts are computed only
+for the two tie-breaks that need them: among R3's vertices tied on
+size-2 degree, and for R4_1's maximum-degree pivot.
+
 All pivots are deterministic: smallest vertex id, then the canonical edge
 order. Every recursive call shrinks |V| + |E|, which bounds the depth;
 `check_measure` additionally re-validates the weighted-measure inequality
@@ -26,7 +36,7 @@ at every node that spawns children.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .analysis import DEFAULT_WEIGHTS, Weights, measure_parts
 from .bitsets import edge_key, iter_bits, set_of
@@ -37,8 +47,7 @@ from .hypergraph import Hypergraph, Instance, SearchStats, TransversalSink
 MEASURE_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class RuleId:
+class RuleId(NamedTuple):
     """First applicable rule plus its chosen pivots.
 
     Field use by tag: R1_0/R4_1 carry v; R1_1 carries e (the dropped
@@ -58,76 +67,96 @@ class RuleId:
     u3: int | None = None
     w1: int | None = None
     w2: int | None = None
-    partners: tuple[int, ...] = field(default=())
+    partners: tuple[int, ...] = ()
+
+
+R0_0 = RuleId("R0_0")
+R0_1 = RuleId("R0_1")
 
 
 def next_rule(inst: Instance) -> RuleId:
     """First applicable rule for the working state, with deterministic pivots."""
     edges = inst.emasks
+    if not edges:
+        return R0_1
+    units: list[int] = []
+    pairs: list[int] = []
+    s1 = s2 = s3 = 0  # vertices of degree >= 1, >= 2, >= 3
     for e in edges:
-        if e.bit_count() > 3:
-            raise UnsupportedInstanceError("working edge of size > 3; dispatch to the general engine")
+        c = e.bit_count()
+        if c != 3:
+            if c == 2:
+                pairs.append(e)
+            elif c == 1:
+                units.append(e)
+            elif c > 3:
+                raise UnsupportedInstanceError("working edge of size > 3; dispatch to the general engine")
+        s3 |= s2 & e
+        s2 |= s1 & e
+        s1 |= e
 
     if 0 in edges:
-        return RuleId("R0_0")
-    if not edges:
-        return RuleId("R0_1")
+        return R0_0
 
-    union = 0
-    for e in edges:
-        union |= e
-    isolated = inst.vmask & ~union
+    isolated = inst.vmask & ~s1
     if isolated:
         return RuleId("R1_0", v=(isolated & -isolated).bit_length() - 1)
 
-    smalls = [e for e in edges if e.bit_count() < 3]
-    if smalls:
-        dropped = None
-        for e2 in edges:
-            if e2.bit_count() == 3 and any(s & e2 == s for s in smalls):
-                if dropped is None or edge_key(e2) < edge_key(dropped):
-                    dropped = e2
-        if dropped is not None:
-            return RuleId("R1_1", e=set_of(dropped))
+    # A small edge inside a triple has all its vertices in >= 2 edges.
+    inner = [s for s in units + pairs if not s & ~s2]
+    if inner:
+        supersets = [e for s in inner for e in edges if e & s == s and e.bit_count() == 3]
+        if supersets:
+            first = supersets[0]
+            for e in supersets:
+                d = e ^ first
+                if e & d & -d:  # of two triples, the one with the lowest differing vertex
+                    first = e
+            return RuleId("R1_1", e=set_of(first))
 
-    units = [e for e in edges if e.bit_count() == 1]
     if units:
         em = min(units)  # single-bit masks sort like their vertex ids
-        return RuleId("R1_2", v=em.bit_length() - 1, e=set_of(em))
+        v = em.bit_length() - 1
+        return RuleId("R1_2", v=v, e=frozenset((v,)))
 
-    deg: dict[int, int] = {}
-    for e in edges:
-        for v in iter_bits(e):
-            deg[v] = deg.get(v, 0) + 1
-
-    ones = [v for v, d in deg.items() if d == 1]
+    ones = s1 & ~s2
     if ones:
-        v = min(ones)
-        vb = 1 << v
-        em = next(e for e in edges if e & vb)
-        others = sorted(iter_bits(em & ~vb))
-        es = set_of(em)
-        if len(others) == 1:
-            return RuleId("R2_1", v=v, e=es, u=others[0])
-        if deg[others[0]] == 1 and deg[others[1]] == 1:
-            return RuleId("R2_2", v=v, e=es, u=others[0], w=others[1])
-        u = min(x for x in others if deg[x] >= 2)
-        w = others[1] if others[0] == u else others[0]
-        return RuleId("R2_3", v=v, e=es, u=u, w=w)
+        vb = ones & -ones
+        v = vb.bit_length() - 1
+        for em in edges:
+            if em & vb:
+                break
+        others = em ^ vb
+        lo = others & -others
+        u = lo.bit_length() - 1
+        if others == lo:
+            return RuleId("R2_1", v=v, e=frozenset((v, u)), u=u)
+        w = (others ^ lo).bit_length() - 1
+        es = frozenset((v, u, w))
+        if not others & s2:
+            return RuleId("R2_2", v=v, e=es, u=u, w=w)
+        if lo & s2:
+            return RuleId("R2_3", v=v, e=es, u=u, w=w)
+        return RuleId("R2_3", v=v, e=es, u=w, w=u)
 
-    twos = [e for e in edges if e.bit_count() == 2]
-    if twos:
+    if pairs:
         d2: dict[int, int] = {}
-        for e in twos:
-            for v in iter_bits(e):
-                d2[v] = d2.get(v, 0) + 1
-        v = max(d2, key=lambda x: (d2[x], deg[x], -x))
-        vb = 1 << v
-        partners = sorted((e ^ vb).bit_length() - 1 for e in twos if e & vb)
+        for e in pairs:
+            lo = e & -e
+            d2[lo] = d2.get(lo, 0) + 1
+            d2[e ^ lo] = d2.get(e ^ lo, 0) + 1
+        top = max(d2.values())
+        tied = 0
+        for xb, d in d2.items():
+            if d == top:
+                tied |= xb
+        vb = _busiest(edges, tied) if tied & (tied - 1) else tied
+        v = vb.bit_length() - 1
+        partners = sorted((e ^ vb).bit_length() - 1 for e in pairs if e & vb)
         es = frozenset((v, partners[0]))
-        if d2[v] == 1:
+        if top == 1:
             return RuleId("R3_1", v=v, e=es, u1=partners[0])
-        if d2[v] == 2:
+        if top == 2:
             return RuleId("R3_2", v=v, e=es, u1=partners[0], u2=partners[1])
         return RuleId(
             "R3_3", v=v, e=es,
@@ -135,17 +164,50 @@ def next_rule(inst: Instance) -> RuleId:
             partners=tuple(partners),
         )
 
-    v = max(deg, key=lambda x: (deg[x], -x))
-    if deg[v] >= 3:
-        return RuleId("R4_1", v=v)
-    vb = 1 << v
+    if s3:
+        return RuleId("R4_1", v=_busiest(edges, s3).bit_length() - 1)
+    # Every vertex now lies in exactly two triples.
+    vb = s1 & -s1
+    v = vb.bit_length() - 1
     ea, eb = sorted((e for e in edges if e & vb), key=edge_key)
     shared = ea & eb & ~vb
     if shared:
         return RuleId("R4_2", v=v, u=(shared & -shared).bit_length() - 1)
-    a = sorted(iter_bits(ea & ~vb))
-    b = sorted(iter_bits(eb & ~vb))
-    return RuleId("R4_3", v=v, e=set_of(ea), e2=set_of(eb), u1=a[0], w1=a[1], u2=b[0], w2=b[1])
+    a = ea ^ vb
+    b = eb ^ vb
+    la = a & -a
+    lb = b & -b
+    return RuleId(
+        "R4_3", v=v, e=set_of(ea), e2=set_of(eb),
+        u1=la.bit_length() - 1, w1=(a ^ la).bit_length() - 1,
+        u2=lb.bit_length() - 1, w2=(b ^ lb).bit_length() - 1,
+    )
+
+
+def _busiest(edges: frozenset[int], cand: int) -> int:
+    """Bit of the lowest vertex in cand that lies in the most edges.
+
+    Counts degrees of the cand vertices in bit-sliced form: digits[i]
+    holds bit i of every vertex's count, and adding an edge is a
+    ripple-carry add of its cand bits. The maximum is then narrowed
+    from the top digit down.
+    """
+    digits: list[int] = []
+    for e in edges:
+        carry = e & cand
+        i = 0
+        while carry:
+            if i == len(digits):
+                digits.append(carry)
+                break
+            d = digits[i]
+            digits[i] = d ^ carry
+            carry &= d
+            i += 1
+    for d in reversed(digits):
+        if cand & d:
+            cand &= d
+    return cand & -cand
 
 
 def apply_rule(inst: Instance, rule: RuleId, minimality_discards: bool = True) -> list[Instance]:

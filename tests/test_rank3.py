@@ -1,8 +1,10 @@
+import hashlib
+
 import pytest
 
 import transversals as tv
 from transversals import Hypergraph, Instance, enumerate_rank3, next_rule
-from transversals.rank3 import apply_rule
+from transversals.rank3 import RuleId, apply_rule
 
 from helpers import canon, emitted, instance_deck, oracle, run
 
@@ -79,6 +81,29 @@ class TestNextRule:
     def test_rank_above_three_rejected(self):
         with pytest.raises(tv.UnsupportedInstanceError):
             rule_on([{1, 2, 3, 4}])
+
+
+
+class TestRuleIdContract:
+    def test_equal_and_hash_like_hand_built(self):
+        r = rule_on([{1, 2}, {1, 3}, {2, 4, 5}, {3, 4, 5}])
+        built = RuleId("R3_2", v=1, e=frozenset({1, 2}), u1=2, u2=3)
+        assert r == built
+        assert hash(r) == hash(built)
+
+    def test_fields_are_read_only(self):
+        r = RuleId("R1_0", v=3)
+        with pytest.raises(AttributeError):
+            r.v = 4
+
+    def test_defaults(self):
+        r = RuleId("R4_1")
+        assert r.partners == ()
+        assert all(getattr(r, f) is None for f in RuleId._fields if f not in ("tag", "partners"))
+
+    def test_halting_rules(self):
+        assert rule_on([]) == RuleId("R0_1")
+        assert rule_on([set(), {1, 2}]) == RuleId("R0_0")
 
 
 class TestApplyRule:
@@ -277,6 +302,43 @@ class TestCubicStarInstances:
             "R4_1", "R4_2", "R4_3",
         }
         assert set(total) >= all_tags, f"rules never exercised: {all_tags - set(total)}"
+
+
+
+@pytest.mark.parametrize(
+    "h,shape,tags,digest",
+    [
+        (
+            tv.gen_lower_bound(3, 15),
+            (2123, 1000, 24, 1000),
+            {"R0_1": 1000, "R1_1": 299, "R2_1": 206, "R2_2": 175, "R3_2": 206, "R3_3": 31, "R4_1": 206},
+            "c8c648be3358fd7ef4f36314447fc20065c435b655547f5032ba24c28b3b3aaf",
+        ),
+        (
+            Hypergraph(12, K4_STARS + shift(DOUBLED_EDGE_STARS, 6)),
+            (206, 70, 11, 35),
+            {
+                "R0_1": 70, "R1_0": 23, "R1_1": 20, "R1_2": 25, "R2_1": 24,
+                "R2_3": 22, "R3_1": 1, "R3_2": 10, "R4_2": 10, "R4_3": 1,
+            },
+            "ebc88e833924e2a6fd4140cfd517cdfcdeefc651dca13330ed7d2b4d8c0d4c48",
+        ),
+        (
+            tv.gen_lower_bound(3, 20),
+            (20623, 10000, 32, 10000),
+            None,
+            "0194ca6c3d2bfd1a6e867ef35f0b0e3f1ac24219b8b0c8cbf90ab2236d9ab1ef",
+        ),
+    ],
+    ids=["lb3-n15", "cubic-stars", "lb3-n20"],
+)
+def test_tree_shape_pinned(h, shape, tags, digest):
+    lines = []
+    stats = enumerate_rank3(h, lambda t: lines.append(" ".join(map(str, sorted(t))) + "\n"))
+    assert (stats.nodes, stats.leaves, stats.max_depth, stats.outputs) == shape
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest
+    if tags is not None:
+        assert dict(trace_tags(h)) == tags
 
 
 class TestMinimalityDiscards:
