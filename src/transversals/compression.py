@@ -13,6 +13,15 @@ T forces N = T intersect X, nothing is emitted twice.
 Projecting through a transversal X lowers the rank, so the rank-3 engine
 serves as the inner engine for rank-4 inputs. alpha tunes only the phase
 split, never the emitted set.
+
+The projection for N depends only on which edges N misses, and most
+subsets of X share one with another. The inner engine therefore runs once
+per distinct projection; for every later N with the same projection its
+recorded outputs are replayed, in the same order, through the same final
+filter. This relies on the inner engine giving the same outputs for equal
+hypergraphs, as every engine in the package does. The stats still
+describe the unmemoized tree: a replay adds the recorded inner counters
+again.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations
 
+from .bitsets import mask_of
 from .hypergraph import Hypergraph, SearchStats, TransversalSink
 from .rank3 import enumerate_rank3
 from .rankk import enumerate_rankk
@@ -29,12 +39,18 @@ from .rankk import enumerate_rankk
 #: Phase split minimizing the worst phase on rank-4 inputs.
 DEFAULT_ALPHA = 0.66938
 
+#: An engine run on each distinct projection; it must give the same outputs,
+#: in the same order, and the same stats for equal hypergraphs.
 InnerEngine = Callable[[Hypergraph, TransversalSink], SearchStats]
 
 
 @dataclass(frozen=True)
 class CompressionConfig:
-    """alpha in [0.5, 1]; inner_engine of None picks one from the input rank."""
+    """alpha in [0.5, 1]; inner_engine of None picks one from the input rank.
+
+    The inner engine runs once per distinct projection, and its recorded
+    outputs and stats are reused for every N that projects the same way.
+    """
 
     alpha: float = DEFAULT_ALPHA
     inner_engine: InnerEngine | None = None
@@ -82,7 +98,8 @@ def enumerate_compression(
     Stats: nodes counts phase-1 subsets scanned plus inner-engine nodes;
     leaves aggregates inner leaves, or counts the scanned subsets when the
     run never leaves phase 1 (each subset check halts there); outputs
-    counts emissions.
+    counts emissions. Inner counters are added once per N, replayed or
+    not, so they describe one inner run per subset of X.
     """
     cfg = config or CompressionConfig()
     stats = SearchStats()
@@ -111,18 +128,47 @@ def enumerate_compression(
     if inner is None:
         inner = enumerate_rank3 if h.rank() <= 4 else enumerate_rankk
 
+    # The projection for N depends only on which edges N misses: it is the
+    # set of their parts outside X. Edges sharing an inside part are missed
+    # together, so group them, and key N by a bitmap over the distinct
+    # outside parts of the edges it misses.
+    xm = mask_of(x)
+    outside_bit: dict[int, int] = {}
+    groups: dict[int, int] = {}
+    for e in h.edge_masks():
+        out = e & ~xm
+        bit = outside_bit.setdefault(out, 1 << len(outside_bit))
+        groups[e & xm] = groups.get(e & xm, 0) | bit
+    memo: dict[int, tuple[list[frozenset[int]], SearchStats]] = {}
+
+    def keep_minimal(t: frozenset[int]) -> None:
+        if h.is_minimal_transversal(t):
+            sink(t)
+            stats.outputs += 1
+
     anchor = sorted(x)
     for counter in range(1 << len(anchor)):
         n_sub = frozenset(anchor[j] for j in range(len(anchor)) if counter >> j & 1)
-        projected = project(h, x, n_sub)
+        nm = mask_of(n_sub)
+        key = 0
+        for inside, bits in groups.items():
+            if not inside & nm:
+                key |= bits
 
-        def emit(y: frozenset[int], chosen: frozenset[int] = n_sub) -> None:
-            t = chosen | y
-            if h.is_minimal_transversal(t):
-                sink(t)
-                stats.outputs += 1
+        hit = memo.get(key)
+        if hit is None:
+            ys: list[frozenset[int]] = []
 
-        inner_stats = inner(projected, emit)
+            def record(y: frozenset[int], chosen: frozenset[int] = n_sub, ys: list = ys) -> None:
+                ys.append(y)
+                keep_minimal(chosen | y)
+
+            inner_stats = inner(project(h, x, n_sub), record)
+            memo[key] = ys, inner_stats
+        else:
+            ys, inner_stats = hit
+            for y in ys:
+                keep_minimal(n_sub | y)
         stats.nodes += inner_stats.nodes
         stats.leaves += inner_stats.leaves
         stats.max_depth = max(stats.max_depth, inner_stats.max_depth)

@@ -1,6 +1,7 @@
 """Shared test utilities: canonical forms, engine runners, instance decks."""
 
 import math
+from itertools import combinations
 
 import transversals as tv
 
@@ -46,3 +47,13 @@ def random_instance(seed, kmin=2, kmax=6, nmin=6, nmax=12, mmax=24):
 
 def instance_deck(count, **kwargs):
     return [random_instance(seed, **kwargs) for seed in range(count)]
+
+
+def packed_blocks(*ks):
+    """Unpermuted packed blocks: block i has 2*ks[i]-1 consecutive vertices
+    and all their ks[i]-subsets as edges."""
+    edges, base = [], 0
+    for k in ks:
+        edges.extend(combinations(range(base + 1, base + 2 * k), k))
+        base += 2 * k - 1
+    return tv.Hypergraph(base, edges)

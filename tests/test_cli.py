@@ -7,6 +7,8 @@ import pytest
 import transversals as tv
 from transversals import cli, serialize_hypergraph
 
+from helpers import packed_blocks
+
 TRIANGLE_TEXT = "p hg 3 3\n1 2\n1 3\n2 3\n"
 TWO_TRIPLES = "p hg 5 2\n1 2 3\n3 4 5\n"
 
@@ -109,6 +111,25 @@ class TestScalarCommands:
         code, out, _ = run_cli(["count-minimum"], stdin_text="p hg 2 1\n\n")
         assert code == 0
         assert out == "0\n"
+
+    @pytest.mark.parametrize(
+        "h,command,want_out,want_err",
+        [
+            (packed_blocks(4, 4, 2), "minimum", "1 2 6 7 8 12 13 14 15 17\n",
+             "stats: nodes=24891 leaves=4658 max_depth=18 outputs=3675\n"),
+            (packed_blocks(4, 4, 2), "count-minimum", "3675\n",
+             "stats: nodes=24891 leaves=4658 max_depth=18 outputs=3675\n"),
+            (tv.gen_random(tv.GeneratorSpec("random", k=4, n=20, m=30, seed=3)), "minimum",
+             "4 5 8 9 10 12 14 15 16 19 20\n", "stats: nodes=9006 leaves=8216 max_depth=21 outputs=16\n"),
+            (tv.gen_random(tv.GeneratorSpec("random", k=4, n=20, m=30, seed=3)), "count-minimum",
+             "10\n", "stats: nodes=9006 leaves=8216 max_depth=21 outputs=16\n"),
+        ],
+        ids=["blocks-minimum", "blocks-count-minimum", "random-minimum", "random-count-minimum"],
+    )
+    def test_rank4_stats_pinned(self, h, command, want_out, want_err):
+        # rank 4 runs compression; stdout and the stats line are pinned
+        code, out, err = run_cli([command, "--stats"], stdin_text=serialize_hypergraph(h))
+        assert (code, out, err) == (0, want_out, want_err)
 
     def test_minimum_matches_enumerate(self):
         for seed in (3, 11, 27):

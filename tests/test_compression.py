@@ -1,9 +1,20 @@
+import hashlib
+import math
+from itertools import combinations
+
 import pytest
 
 import transversals as tv
-from transversals import CompressionConfig, Hypergraph, enumerate_compression, find_split, project
+from transversals import (
+    CompressionConfig,
+    Hypergraph,
+    UnsupportedInstanceError,
+    enumerate_compression,
+    find_split,
+    project,
+)
 
-from helpers import instance_deck, oracle, run
+from helpers import instance_deck, oracle, packed_blocks, run
 
 
 def rank4_deck(count, nmax=10):
@@ -175,3 +186,133 @@ class TestProjectionCorrespondence:
                 for t in full:
                     if t & x == n_sub:
                         assert t - n_sub in projected_minimals
+
+
+def subsets_of(x):
+    anchor = sorted(x)
+    for counter in range(1 << len(anchor)):
+        yield frozenset(anchor[j] for j in range(len(anchor)) if counter >> j & 1)
+
+
+def unmemoized(h, sink, config=None):
+    """Reference: one inner run per N inside X, with nothing shared between
+    subsets that project the same way."""
+    cfg = config or CompressionConfig()
+    x = find_split(h, cfg.alpha)
+    if x is None:  # phase 1 alone has no projections to share
+        return enumerate_compression(h, sink, cfg)
+    size = math.floor(cfg.alpha * h.n)
+    scanned = 1 + next(
+        i for i, xs in enumerate(combinations(range(1, h.n + 1), size)) if frozenset(xs) == x
+    )
+    stats = tv.SearchStats(nodes=scanned)
+    inner = cfg.inner_engine
+    if inner is None:
+        inner = tv.enumerate_rank3 if h.rank() <= 4 else tv.enumerate_rankk
+    for n_sub in subsets_of(x):
+        def emit(y, chosen=n_sub):
+            t = chosen | y
+            if h.is_minimal_transversal(t):
+                sink(t)
+                stats.outputs += 1
+
+        inner_stats = inner(project(h, x, n_sub), emit)
+        stats.nodes += inner_stats.nodes
+        stats.leaves += inner_stats.leaves
+        stats.max_depth = max(stats.max_depth, inner_stats.max_depth)
+    return stats
+
+
+def trace(engine, h, config=None):
+    out = []
+    stats = engine(h, out.append, config)
+    return out, (stats.nodes, stats.leaves, stats.max_depth, stats.outputs)
+
+
+def distinct_projections(h, config=None):
+    x = find_split(h, (config or CompressionConfig()).alpha)
+    return len({project(h, x, n_sub).edges for n_sub in subsets_of(x)})
+
+
+RANK5 = next(h for h in instance_deck(30, kmin=5, kmax=5, nmax=9) if h.rank() == 5)
+
+
+class TestProjectionMemo:
+    @pytest.mark.parametrize(
+        "deck,config",
+        [
+            (rank4_deck(60), None),
+            (rank4_deck(20), CompressionConfig(alpha=0.5)),
+            (rank4_deck(20), CompressionConfig(alpha=0.8)),
+            (rank4_deck(20), CompressionConfig(inner_engine=tv.enumerate_rankk)),
+            ([RANK5], None),
+            ([tv.gen_lower_bound(4, 13), tv.gen_lower_bound(4, 17)], None),
+        ],
+        ids=["rank4", "alpha-0.5", "alpha-0.8", "rankk-inner", "rank5", "lb4"],
+    )
+    def test_same_order_and_tree_as_unmemoized(self, deck, config):
+        for h in deck:
+            assert trace(enumerate_compression, h, config) == trace(unmemoized, h, config)
+
+    @pytest.mark.parametrize(
+        "h", [tv.gen_lower_bound(4, 17), packed_blocks(4, 4, 2)], ids=["lb4-n17", "blocks-4-4-2"]
+    )
+    def test_inner_runs_once_per_distinct_projection(self, h):
+        calls = []
+
+        def counted(hh, sink):
+            calls.append(hh)
+            return tv.enumerate_rank3(hh, sink)
+
+        enumerate_compression(h, lambda t: None, CompressionConfig(inner_engine=counted))
+        assert len(calls) == len(set(calls)) == distinct_projections(h) < 1 << len(find_split(h))
+
+    def test_failed_inner_run_caches_nothing(self):
+        # the third inner run of the first engine call fails after emitting;
+        # a second call must search every projection again
+        h = packed_blocks(4, 4, 2)
+        calls = []
+
+        def flaky(hh, sink):
+            calls.append(hh)
+            stats = tv.enumerate_rank3(hh, sink)
+            if len(calls) == 3 and not failed:
+                failed.append(hh)
+                raise UnsupportedInstanceError("inner engine gave up")
+            return stats
+
+        failed = []
+        cfg = CompressionConfig(inner_engine=flaky)
+        with pytest.raises(UnsupportedInstanceError):
+            enumerate_compression(h, lambda t: None, cfg)
+        calls.clear()
+        assert trace(enumerate_compression, h, cfg) == trace(unmemoized, h)
+        assert len(calls) == distinct_projections(h)
+
+
+@pytest.mark.parametrize(
+    "h,shape,digest",
+    [
+        (
+            tv.gen_lower_bound(4, 17),
+            (18305, 3328, 18, 1225),
+            "68b8db8fee70ebbaf60df9a33da7571c73a0e2c25944186046cc6726cc7bd0c2",
+        ),
+        (
+            packed_blocks(4, 4, 2),
+            (24891, 4658, 18, 3675),
+            "b9b0936d611ab7de7a07e4dc427cfc8e37a9daccd73901957ca4cee7a37ace19",
+        ),
+        (
+            tv.gen_random(tv.GeneratorSpec("random", k=4, n=20, m=30, seed=3)),
+            (9006, 8216, 21, 16),
+            "de973a4618814b1526a5823343e551b61b1980430b55af99e7f076c0540467f0",
+        ),
+    ],
+    ids=["lb4-n17", "blocks-4-4-2", "random-k4-n20-m30-s3"],
+)
+def test_tree_shape_pinned(h, shape, digest):
+    lines = []
+    stats = enumerate_compression(h, lambda t: lines.append(" ".join(map(str, sorted(t))) + "\n"))
+    assert (stats.nodes, stats.leaves, stats.max_depth, stats.outputs) == shape
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest
