@@ -31,7 +31,6 @@ from .compression import (
 )
 from .errors import ParseError, SearchInvariantError, UnsupportedInstanceError
 from .hypergraph import (
-    DegreeProfile,
     Hypergraph,
     Instance,
     SearchStats,
@@ -59,7 +58,6 @@ __all__ = [
     "ConstraintRow",
     "DEFAULT_ALPHA",
     "DEFAULT_WEIGHTS",
-    "DegreeProfile",
     "GeneratorSpec",
     "Hypergraph",
     "Instance",

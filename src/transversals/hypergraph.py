@@ -10,24 +10,13 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Any
 
 from .bitsets import mask_of, set_of
-from .errors import ParseError
+from .errors import ParseError, SearchInvariantError
 
 #: Consumer invoked exactly once per enumerated minimal transversal.
 TransversalSink = Callable[[frozenset[int]], None]
-
-
-class DegreeProfile(NamedTuple):
-    """Degree counts of one vertex: total, by edge size 1..3, small, neighbors."""
-
-    d: int
-    d1: int
-    d2: int
-    d3: int
-    d_le2: int
-    neighbors: frozenset[int]
 
 
 class Hypergraph:
@@ -71,26 +60,6 @@ class Hypergraph:
         if self._masks is None:
             self._masks = tuple(mask_of(e) for e in self.edges)
         return self._masks
-
-    def degree_profile(self, v: int) -> DegreeProfile:
-        """Counts over current edges; neighbors excludes v itself."""
-        if not 1 <= v <= self.n:
-            raise ValueError(f"vertex {v} out of range 1..{self.n}")
-        d = d1 = d2 = d3 = 0
-        nb: set[int] = set()
-        for e in self.edges:
-            if v in e:
-                d += 1
-                s = len(e)
-                if s == 1:
-                    d1 += 1
-                elif s == 2:
-                    d2 += 1
-                elif s == 3:
-                    d3 += 1
-                nb.update(e)
-        nb.discard(v)
-        return DegreeProfile(d, d1, d2, d3, d1 + d2, frozenset(nb))
 
     def _vertex_mask(self, vertices: Iterable[int]) -> int:
         m = 0
@@ -155,10 +124,6 @@ class Instance:
         for em in self.emasks:
             if em & ~self.vmask:
                 raise ValueError("working edge contains a non-working vertex")
-
-    @classmethod
-    def from_hypergraph(cls, h: Hypergraph) -> Instance:
-        return cls(h)
 
     def _spawn(self, vmask: int, emasks: frozenset[int], smask: int) -> Instance:
         inst = object.__new__(Instance)
@@ -233,6 +198,57 @@ class SearchStats:
     leaves: int = 0
     max_depth: int = 0
     outputs: int = 0
+
+
+#: An engine's branching rules: a state that has working edges, none of
+#: them empty, plus the value the engine carries with it -> the children
+#: in branch order, each with its own carried value.
+BranchStep = Callable[[Instance, Any], list[tuple[Instance, Any]]]
+
+
+def search(
+    root: Instance,
+    branch: BranchStep,
+    leaf_graph: Hypergraph,
+    sink: TransversalSink,
+    carry: Any = None,
+) -> SearchStats:
+    """Depth-first branch-and-reduce search from root, on an explicit stack.
+
+    A state without working edges is a leaf; its partial set goes to sink
+    if it is a minimal transversal of leaf_graph, which must have the
+    same minimal transversals as root's input. A state with an empty edge
+    is a leaf that emits nothing. Every other state is expanded by branch,
+    and each child must shrink |V| + |E|, which bounds the depth. Children
+    are visited in branch order, so the visit and emission order is the
+    preorder of the tree. `carry` is the value that goes with root.
+    """
+    stats = SearchStats()
+    stack = [(root, carry, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        inst, carry, depth = pop()
+        stats.nodes += 1
+        if depth > stats.max_depth:
+            stats.max_depth = depth
+        edges = inst.emasks
+        if not edges:
+            stats.leaves += 1
+            s = inst.partial
+            if leaf_graph.is_minimal_transversal(s):
+                sink(s)
+                stats.outputs += 1
+            continue
+        if 0 in edges:
+            stats.leaves += 1
+            continue
+        bound = inst.eta() - 1
+        depth += 1
+        for child, value in reversed(branch(inst, carry)):
+            if child.eta() > bound:
+                raise SearchInvariantError(f"|V|+|E| did not decrease at {inst!r}")
+            push((child, value, depth))
+    return stats
 
 
 def parse_hypergraph(text: str) -> Hypergraph:

@@ -28,20 +28,23 @@ for the two tie-breaks that need them: among R3's vertices tied on
 size-2 degree, and for R4_1's maximum-degree pivot.
 
 All pivots are deterministic: smallest vertex id, then the canonical edge
-order. Every recursive call shrinks |V| + |E|, which bounds the depth;
-`check_measure` additionally re-validates the weighted-measure inequality
-at every node that spawns children.
+order. The tree is walked by the kernel shared with rankk,
+`hypergraph.search`: it halts at R0_0 and R0_1 before `next_rule` runs,
+checks that every child shrinks |V| + |E|, which bounds the depth, and
+keeps its pending nodes on an explicit stack. This module supplies the
+branch step, `next_rule` then `apply_rule`; with `check_measure` the step
+also re-validates the weighted-measure inequality at every node that
+spawns children.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import NamedTuple
 
 from .analysis import DEFAULT_WEIGHTS, Weights, measure_parts
 from .bitsets import edge_key, iter_bits, set_of
 from .errors import SearchInvariantError, UnsupportedInstanceError
-from .hypergraph import Hypergraph, Instance, SearchStats, TransversalSink
+from .hypergraph import Hypergraph, Instance, SearchStats, TransversalSink, search
 
 #: Absolute tolerance on sums of 2**mu in the measure re-validation.
 MEASURE_TOLERANCE = 1e-9
@@ -287,49 +290,20 @@ def enumerate_rank3(
     if h.rank() > 3:
         raise UnsupportedInstanceError(f"rank {h.rank()} input; this engine handles rank <= 3")
     mweights = (weights or DEFAULT_WEIGHTS) if check_measure else None
-    stats = SearchStats()
-    root = Instance.from_hypergraph(h)
-    _bump_recursion_limit(root.eta())
-    _search(root, sink, stats, 0, minimality_discards, mweights)
-    return stats
 
+    def branch(inst: Instance, _: None) -> list[tuple[Instance, None]]:
+        rule = next_rule(inst)
+        children = apply_rule(inst, rule, minimality_discards)
+        if mweights is not None:
+            parent = 2.0 ** _measure_of(inst, mweights)
+            total = sum(2.0 ** _measure_of(c, mweights) for c in children)
+            if total > parent + MEASURE_TOLERANCE:
+                raise SearchInvariantError(
+                    f"measure inequality violated at {rule.tag}: {total!r} > {parent!r}"
+                )
+        return [(child, None) for child in children]
 
-def _search(
-    inst: Instance,
-    sink: TransversalSink,
-    stats: SearchStats,
-    depth: int,
-    minimality_discards: bool,
-    mweights: Weights | None,
-) -> None:
-    stats.nodes += 1
-    if depth > stats.max_depth:
-        stats.max_depth = depth
-    rule = next_rule(inst)
-    if rule.tag == "R0_0":
-        stats.leaves += 1
-        return
-    if rule.tag == "R0_1":
-        stats.leaves += 1
-        s = inst.partial
-        if inst.original.is_minimal_transversal(s):
-            sink(s)
-            stats.outputs += 1
-        return
-    children = apply_rule(inst, rule, minimality_discards)
-    eta = inst.eta()
-    for child in children:
-        if child.eta() > eta - 1:
-            raise SearchInvariantError(f"|V|+|E| did not decrease at {rule.tag}")
-    if mweights is not None:
-        parent = 2.0 ** _measure_of(inst, mweights)
-        total = sum(2.0 ** _measure_of(c, mweights) for c in children)
-        if total > parent + MEASURE_TOLERANCE:
-            raise SearchInvariantError(
-                f"measure inequality violated at {rule.tag}: {total!r} > {parent!r}"
-            )
-    for child in children:
-        _search(child, sink, stats, depth + 1, minimality_discards, mweights)
+    return search(Instance(h), branch, h, sink)
 
 
 def _measure_of(inst: Instance, w: Weights) -> float:
@@ -341,9 +315,3 @@ def _measure_of(inst: Instance, w: Weights) -> float:
         for v in iter_bits(e):
             deg[v] += 1
     return measure_parts(deg.values(), small, w)
-
-
-def _bump_recursion_limit(eta: int) -> None:
-    want = 4 * eta + 1000
-    if sys.getrecursionlimit() < want:
-        sys.setrecursionlimit(want)

@@ -1,12 +1,18 @@
 """General enumerator of minimal transversals, correct for every rank.
 
-Rule order: halt on an edge-free state (emit if the partial set is a
-minimal transversal of the input) or on an empty edge; then reductions
-(isolated vertex, subsumed edge, unit edge); then the degree-1 branch;
-otherwise the smallest-edge branch. In the smallest-edge branch over
+The tree is walked by the kernel shared with rank3, `hypergraph.search`.
+It halts on an edge-free state (emit if the partial set is a minimal
+transversal of the input) or on an empty edge, checks that every child
+shrinks |V| + |E|, and keeps its pending nodes on an explicit stack.
+This module supplies the branch step. Rule order: reductions (isolated
+vertex, subsumed edge, unit edge); then the degree-1 branch; otherwise
+the smallest-edge branch. In the smallest-edge branch over
 e = v_1..v_|e| (vertices shared with the overlap partner first), branch i
 discards v_1..v_{i-1} and selects v_i, so branch i enumerates exactly the
 minimal transversals whose first vertex along that ordering is v_i.
+The reductions stay apart from rank3's: its R1_1 drops only size-3
+supersets of small edges, R2 here any strict superset, so one shared
+rule would change one engine's tree.
 
 The subsumed-edge rule drops the canonically smallest edge that strictly
 contains another edge. The set of such edges is computed once at the root
@@ -25,14 +31,12 @@ the same minimal transversals as the input; the leaf check runs on them.
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import groupby
 
 from .bitsets import edge_key, iter_bits, set_of
-from .errors import SearchInvariantError
-from .hypergraph import Hypergraph, Instance, SearchStats, TransversalSink
+from .hypergraph import BranchStep, Hypergraph, Instance, SearchStats, TransversalSink, search
 
 
 @dataclass(frozen=True)
@@ -83,21 +87,6 @@ class _EdgeKeys(dict):
     def __missing__(self, mask: int) -> tuple[int, ...]:
         key = self[mask] = edge_key(mask)
         return key
-
-
-class _Run:
-    """Lookups shared by every node of one run.
-
-    `leaf_graph` has the same minimal transversals as the input (the
-    input's inclusion-minimal edges, or the input itself); `key` is the
-    canonical edge order, memoized for this run only.
-    """
-
-    __slots__ = ("leaf_graph", "key")
-
-    def __init__(self, leaf_graph: Hypergraph) -> None:
-        self.leaf_graph = leaf_graph
-        self.key = _EdgeKeys().__getitem__
 
 
 def _degrees(edges: frozenset[int]) -> dict[int, int]:
@@ -151,93 +140,56 @@ def enumerate_rankk(
     minimality_discards=False skips the companion discards of the degree-1
     select branch (testing variant; same emitted set, larger tree).
     """
-    stats = SearchStats()
-    root = Instance.from_hypergraph(h)
-    _bump_recursion_limit(root.eta())
+    root = Instance(h)
     subsumed = _subsumed(root.emasks)
-    run = _Run(Hypergraph(h.n, (set_of(e) for e in root.emasks - subsumed)))
-    _search(root, sink, stats, 0, minimality_discards, subsumed, run)
-    return stats
+    leaf_graph = Hypergraph(h.n, (set_of(e) for e in root.emasks - subsumed))
+    return search(root, _branch_step(minimality_discards), leaf_graph, sink, subsumed)
 
 
-def _search(
-    inst: Instance,
-    sink: TransversalSink,
-    stats: SearchStats,
-    depth: int,
-    minimality_discards: bool,
-    subsumed: set[int] | None = None,
-    run: _Run | None = None,
-) -> None:
-    """Enumerate the subtree rooted at inst.
+def _branch_step(minimality_discards: bool) -> BranchStep:
+    """The rules R1..B2 for one run of the kernel.
 
-    `subsumed` holds the edges of inst that strictly contain another of
-    its edges; without it, and without `run`, both are computed from inst.
+    The value carried with each state is the set of its edges that
+    strictly contain another of its edges; the canonical edge order is
+    memoized for the run.
     """
-    if subsumed is None:
-        subsumed = _subsumed(inst.emasks)
-    if run is None:
-        run = _Run(inst.original)
-    stats.nodes += 1
-    if depth > stats.max_depth:
-        stats.max_depth = depth
-    edges = inst.emasks
+    key = _EdgeKeys().__getitem__
 
-    if not edges:  # H1
-        stats.leaves += 1
-        s = inst.partial
-        if run.leaf_graph.is_minimal_transversal(s):
-            sink(s)
-            stats.outputs += 1
-        return
-    if 0 in edges:  # H2
-        stats.leaves += 1
-        return
+    def branch(inst: Instance, subsumed: set[int]) -> list[tuple[Instance, set[int]]]:
+        edges = inst.emasks
+        union = 0
+        for e in edges:
+            union |= e
+        isolated = inst.vmask & ~union
 
-    union = 0
-    for e in edges:
-        union |= e
-    isolated = inst.vmask & ~union
-
-    children: list[Instance]
-    if isolated:  # R1
-        children = [inst.discard((isolated & -isolated).bit_length() - 1)]
-    elif subsumed:  # R2
-        children = [inst.drop_edge(set_of(min(subsumed, key=run.key)))]
-    else:
-        units = [e for e in edges if e.bit_count() == 1]
-        if units:  # R3
-            children = [inst.select(min(units).bit_length() - 1)]
+        children: list[Instance]
+        if isolated:  # R1
+            children = [inst.discard((isolated & -isolated).bit_length() - 1)]
+        elif subsumed:  # R2
+            children = [inst.drop_edge(set_of(min(subsumed, key=key)))]
         else:
-            deg = _degrees(edges)
-            ones = [v for v, d in deg.items() if d == 1]
-            if ones:  # B1
-                v = min(ones)
-                vb = 1 << v
-                em = next(e for e in edges if e & vb)
-                selected = inst.select(v)
-                if minimality_discards:
-                    for x in sorted(iter_bits(em & ~vb)):
-                        selected = selected.discard(x)
-                children = [inst.discard(v), selected]
-            else:  # B2
-                choice = _choose_b2(edges, run.key)
-                children = []
-                current = inst
-                for v in choice.ordering:
-                    children.append(current.select(v))
-                    current = current.discard(v)
+            units = [e for e in edges if e.bit_count() == 1]
+            if units:  # R3
+                children = [inst.select(min(units).bit_length() - 1)]
+            else:
+                deg = _degrees(edges)
+                ones = [v for v, d in deg.items() if d == 1]
+                if ones:  # B1
+                    v = min(ones)
+                    vb = 1 << v
+                    em = next(e for e in edges if e & vb)
+                    selected = inst.select(v)
+                    if minimality_discards:
+                        for x in sorted(iter_bits(em & ~vb)):
+                            selected = selected.discard(x)
+                    children = [inst.discard(v), selected]
+                else:  # B2
+                    choice = _choose_b2(edges, key)
+                    children = []
+                    current = inst
+                    for v in choice.ordering:
+                        children.append(current.select(v))
+                        current = current.discard(v)
+        return [(child, _derive_subsumed(subsumed, edges, child.emasks)) for child in children]
 
-    eta = inst.eta()
-    for child in children:
-        if child.eta() > eta - 1:
-            raise SearchInvariantError("|V|+|E| did not decrease")
-    for child in children:
-        child_subsumed = _derive_subsumed(subsumed, edges, child.emasks)
-        _search(child, sink, stats, depth + 1, minimality_discards, child_subsumed, run)
-
-
-def _bump_recursion_limit(eta: int) -> None:
-    want = 4 * eta + 1000
-    if sys.getrecursionlimit() < want:
-        sys.setrecursionlimit(want)
+    return branch

@@ -1,0 +1,37 @@
+"""Smoke test of the benchmark harness: each workload runs, passes its gate
+and reports calls in the layers of the engine it exercises."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+LAYERS = {
+    "lb3-enumerate": ["rank3.next_rule_calls", "hypergraph.child_calls", "hypergraph.leaf_check_calls"],
+    "lb4-minimum": ["compression.subproblems"],
+    "rank6-redundant-count": ["rankk.self_s"],
+}
+
+
+@pytest.mark.parametrize("workload", sorted(LAYERS))
+def test_workload_runs_traced(workload):
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload,
+         "--seed", "1", "--seconds", "0.5", "--trace", "1"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert not [line for line in lines if line.startswith("# trace could not wrap")]
+    result = json.loads(lines[-1])
+    assert result["correct"]
+    assert result["failed"] == 0
+    for name in LAYERS[workload]:
+        assert result["metrics"][name]["value"] > 0, name

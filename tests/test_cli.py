@@ -194,6 +194,14 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("algorithm", ["rank3", "rankk"])
+    def test_invariant_breach(self, monkeypatch, algorithm):
+        # a discard that returns its own state does not shrink |V|+|E|
+        monkeypatch.setattr(tv.Instance, "discard", lambda self, v: self)
+        code, _, err = run_cli(["enumerate", "--algorithm", algorithm], stdin_text="p hg 3 1\n1 2\n")
+        assert code == 4
+        assert err.startswith("internal error:")
+
 
 class TestGenerate:
     def test_lb_golden(self):

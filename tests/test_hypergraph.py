@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 import transversals as tv
@@ -78,26 +80,6 @@ class TestHypergraph:
             Hypergraph(2, [{1, 3}])
         with pytest.raises(ValueError):
             Hypergraph(2, [{0}])
-
-    def test_degree_profile_basic(self):
-        p = Hypergraph(4, [{1, 2}, {1, 3, 4}]).degree_profile(1)
-        assert (p.d, p.d1, p.d2, p.d3, p.d_le2) == (2, 0, 1, 1, 1)
-        assert p.neighbors == {2, 3, 4}
-
-    def test_degree_profile_isolated(self):
-        p = Hypergraph(3, [{1, 2}]).degree_profile(3)
-        assert p.d == 0
-        assert p.neighbors == frozenset()
-
-    def test_degree_profile_block(self):
-        # all ten 3-subsets of {1..5}: vertex 1 sits in C(4,2) = 6 of them
-        p = tv.gen_lower_bound(3, 5).degree_profile(1)
-        assert (p.d, p.d3) == (6, 6)
-        assert p.neighbors == {2, 3, 4, 5}
-
-    def test_degree_profile_out_of_range(self):
-        with pytest.raises(ValueError):
-            TRIANGLE.degree_profile(4)
 
 
 class TestMinimality:
@@ -191,6 +173,33 @@ class TestInstance:
         assert inst.drop_edge({1, 2}).working_edges == {frozenset({1, 3}), frozenset({2, 3})}
         with pytest.raises(ValueError):
             inst.drop_edge({1, 2, 3})
+
+
+ENGINES = [tv.enumerate_rank3, tv.enumerate_rankk]
+
+
+class TestSearchKernel:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_deep_tree_leaves_recursion_limit_alone(self, engine):
+        n = 1100
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            out = []
+            stats = engine(Hypergraph(n, [{v} for v in range(1, n + 1)]), out.append)
+            limit = sys.getrecursionlimit()
+        finally:
+            sys.setrecursionlimit(old)
+        assert out == [frozenset(range(1, n + 1))]
+        assert (stats.outputs, stats.max_depth) == (1, n)
+        assert limit == 1000
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_child_that_does_not_shrink_is_an_invariant_error(self, engine, monkeypatch):
+        # vertex 3 is isolated, so the first rule discards it
+        monkeypatch.setattr(Instance, "discard", lambda self, v: self)
+        with pytest.raises(tv.SearchInvariantError):
+            engine(Hypergraph(3, [{1, 2}]), lambda t: None)
 
 
 def test_relabel_is_bijection_checked():

@@ -2,8 +2,8 @@ import pytest
 
 import transversals as tv
 from transversals import Hypergraph, Instance, choose_b2, enumerate_rankk, rankk
-from transversals.hypergraph import SearchStats
-from transversals.rankk import _search
+from transversals.hypergraph import search
+from transversals.rankk import _branch_step, _subsumed
 
 from helpers import canon, emitted, instance_deck, oracle, run
 
@@ -113,7 +113,7 @@ class TestEnumerate:
 
 def branch_outputs(inst):
     out = []
-    _search(inst, out.append, SearchStats(), 0, True)
+    search(inst, _branch_step(True), inst.original, out.append, _subsumed(inst.emasks))
     return canon(out)
 
 
