@@ -4,6 +4,13 @@ Vertices are the integers 1..n. Edges have set semantics: duplicates
 collapse, and every edge is kept in ascending vertex order, with edges
 ordered lexicographically (the canonical edge order used for tie-breaking
 everywhere else in the package).
+
+Each hypergraph caches two mask views, built on first use: one bitmask
+per edge over vertex ids, and one incidence row per vertex over edge
+indices. The rows make the minimality check cost O(|S|) big-int
+operations instead of a pass over the edges. An `Instance` holds the
+working state as masks, and `Instance.branch` builds a child that
+selects and discards several vertices in one pass over its edges.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ class Hypergraph:
     Values are safe to share between concurrent enumeration runs.
     """
 
-    __slots__ = ("n", "edges", "_masks")
+    __slots__ = ("n", "edges", "_masks", "_inc")
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]] = ()) -> None:
         if n < 0:
@@ -39,6 +46,7 @@ class Hypergraph:
         self.n = n
         self.edges: tuple[frozenset[int], ...] = tuple(sorted(canon, key=sorted))
         self._masks: tuple[int, ...] | None = None
+        self._inc: tuple[int, ...] | None = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypergraph):
@@ -73,22 +81,49 @@ class Hypergraph:
         sm = self._vertex_mask(s)
         return all(e & sm for e in self.edge_masks())
 
+    def _incidence(self) -> tuple[int, ...]:
+        """inc[v] has bit i set iff edge i contains v (inc[0] is unused)."""
+        if self._inc is None:
+            inc = [0] * (self.n + 1)
+            for i, e in enumerate(self.edges):
+                bit = 1 << i
+                for v in e:
+                    inc[v] |= bit
+            self._inc = tuple(inc)
+        return self._inc
+
     def is_minimal_transversal(self, s: Iterable[int]) -> bool:
         """True iff s hits every edge and every member of s has a private edge.
 
         A private edge of v is an edge whose only vertex in s is v. The
         private-edge criterion is equivalent to "no proper subset of s is a
-        transversal" and needs one pass over the edges.
+        transversal". s is read once, repeats ignored, and each distinct
+        member's incidence row is folded into the edges hit once or more
+        (`once`) and twice or more (`twice`): s is a transversal iff
+        `once` holds every edge, and v has a private edge iff its row
+        leaves `twice`. That is O(|s|) operations on m-bit ints.
         """
-        sm = self._vertex_mask(s)
-        priv = 0
-        for e in self.edge_masks():
-            x = e & sm
-            if not x:
+        inc = self._incidence()
+        n = self.n
+        seen = once = twice = 0
+        rows = []
+        for v in s:
+            if not 1 <= v <= n:
+                raise ValueError(f"vertex {v} out of range 1..{n}")
+            vb = 1 << v
+            if seen & vb:
+                continue
+            seen |= vb
+            row = inc[v]
+            twice |= once & row
+            once |= row
+            rows.append(row)
+        if once != (1 << len(self.edges)) - 1:
+            return False
+        for row in rows:
+            if not row & ~twice:
                 return False
-            if not x & (x - 1):
-                priv |= x
-        return not sm & ~priv
+        return True
 
 
 class Instance:
@@ -97,7 +132,7 @@ class Instance:
     `vertices` are still eligible for the partial solution `partial`,
     and `working_edges` are the hyperedges not yet hit. The partial
     solution and the working vertex set never overlap. Instances are
-    persistent values: select/discard return new instances.
+    persistent values: select/discard/branch return new instances.
     """
 
     __slots__ = ("original", "vmask", "emasks", "smask")
@@ -171,6 +206,21 @@ class Instance:
         if em not in self.emasks:
             raise ValueError("no such working edge")
         return self._spawn(self.vmask, self.emasks - {em}, self.smask)
+
+    def branch(self, sel: int, dis: int) -> Instance:
+        """Select the vertices of mask sel and discard those of mask dis, in one pass.
+
+        Equal to any chain of select and discard calls on the same
+        vertices, since the two commute; the masks must be disjoint
+        subsets of the working vertices.
+        """
+        if sel & dis:
+            raise ValueError("select and discard masks overlap")
+        if (sel | dis) & ~self.vmask:
+            raise ValueError("branch mask holds a vertex outside the working set")
+        keep = ~dis
+        emasks = frozenset(e & keep for e in self.emasks if not e & sel)
+        return self._spawn(self.vmask & ~(sel | dis), emasks, self.smask | sel)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Instance):

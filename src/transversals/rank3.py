@@ -34,7 +34,10 @@ checks that every child shrinks |V| + |E|, which bounds the depth, and
 keeps its pending nodes on an explicit stack. This module supplies the
 branch step, `next_rule` then `apply_rule`; with `check_measure` the step
 also re-validates the weighted-measure inequality at every node that
-spawns children.
+spawns children. `apply_rule` builds each child of R2_*/R3_*/R4_* with
+one `Instance.branch(select mask, discard mask)`, a single pass over the
+working edges, and the reductions R1_* with one select, discard or
+drop_edge.
 """
 
 from __future__ import annotations
@@ -75,6 +78,8 @@ class RuleId(NamedTuple):
 
 R0_0 = RuleId("R0_0")
 R0_1 = RuleId("R0_1")
+
+_BRANCHING = frozenset(("R2_1", "R2_2", "R2_3", "R3_1", "R3_2", "R3_3", "R4_1", "R4_2", "R4_3"))
 
 
 def next_rule(inst: Instance) -> RuleId:
@@ -229,48 +234,35 @@ def apply_rule(inst: Instance, rule: RuleId, minimality_discards: bool = True) -
         return [inst.drop_edge(rule.e)]
     if t == "R1_2":
         return [inst.select(rule.v)]
+    if t not in _BRANCHING:
+        raise ValueError(f"unknown rule tag {t!r}")
+    vb = 1 << rule.v
     if t == "R2_1":
-        b1 = inst.select(rule.v)
-        if minimality_discards:
-            b1 = b1.discard(rule.u)
-        return [b1, inst.discard(rule.v).select(rule.u)]
+        ub = 1 << rule.u
+        return [inst.branch(vb, ub if minimality_discards else 0), inst.branch(ub, vb)]
     if t == "R2_2":
-        members = sorted(rule.e)
-        out = []
-        for x in members:
-            child = inst.select(x)
-            for y in members:
-                if y != x:
-                    child = child.discard(y)
-            out.append(child)
-        return out
+        em = vb | 1 << rule.u | 1 << rule.w
+        return [inst.branch(xb, em ^ xb) for xb in sorted((vb, 1 << rule.u, 1 << rule.w))]
     if t == "R2_3":
-        b1 = inst.select(rule.v)
-        if minimality_discards:
-            b1 = b1.discard(rule.u).discard(rule.w)
-        return [b1, inst.discard(rule.v)]
+        dis = 1 << rule.u | 1 << rule.w if minimality_discards else 0
+        return [inst.branch(vb, dis), inst.branch(0, vb)]
     if t == "R3_1":
-        return [inst.select(rule.v), inst.discard(rule.v).select(rule.u1)]
+        return [inst.branch(vb, 0), inst.branch(1 << rule.u1, vb)]
     if t == "R3_2":
-        return [inst.select(rule.v), inst.discard(rule.v).select(rule.u1).select(rule.u2)]
+        return [inst.branch(vb, 0), inst.branch(1 << rule.u1 | 1 << rule.u2, vb)]
     if t == "R3_3":
-        b2 = inst.discard(rule.v)
+        sel = 0
         for u in rule.partners:
-            b2 = b2.select(u)
-        return [inst.select(rule.v), b2]
+            sel |= 1 << u
+        return [inst.branch(vb, 0), inst.branch(sel, vb)]
     if t == "R4_1":
-        return [inst.select(rule.v), inst.discard(rule.v)]
+        return [inst.branch(vb, 0), inst.branch(0, vb)]
     if t == "R4_2":
-        b1 = inst.select(rule.v)
-        if minimality_discards:
-            b1 = b1.discard(rule.u)
-        return [b1, inst.discard(rule.v)]
-    if t == "R4_3":
-        b1 = inst.select(rule.v).select(rule.u1)
-        if minimality_discards:
-            b1 = b1.discard(rule.u2).discard(rule.w2)
-        return [b1, inst.select(rule.v).discard(rule.u1), inst.discard(rule.v)]
-    raise ValueError(f"unknown rule tag {t!r}")
+        return [inst.branch(vb, 1 << rule.u if minimality_discards else 0), inst.branch(0, vb)]
+    # R4_3
+    u1b = 1 << rule.u1
+    dis = 1 << rule.u2 | 1 << rule.w2 if minimality_discards else 0
+    return [inst.branch(vb | u1b, dis), inst.branch(vb, u1b), inst.branch(0, vb)]
 
 
 def enumerate_rank3(

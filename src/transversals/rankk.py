@@ -6,10 +6,14 @@ transversal of the input) or on an empty edge, checks that every child
 shrinks |V| + |E|, and keeps its pending nodes on an explicit stack.
 This module supplies the branch step. Rule order: reductions (isolated
 vertex, subsumed edge, unit edge); then the degree-1 branch; otherwise
-the smallest-edge branch. In the smallest-edge branch over
+the smallest-edge branch. One pass over the edges gives the degree
+bit-planes s1 and s2 (vertices of degree >= 1 and >= 2), so the isolated
+vertices are V minus s1 and the degree-1 pivot is the lowest bit of
+s1 minus s2. In the smallest-edge branch over
 e = v_1..v_|e| (vertices shared with the overlap partner first), branch i
 discards v_1..v_{i-1} and selects v_i, so branch i enumerates exactly the
 minimal transversals whose first vertex along that ordering is v_i.
+Each branching child is one `Instance.branch(select mask, discard mask)`.
 The reductions stay apart from rank3's: its R1_1 drops only size-3
 supersets of small edges, R2 here any strict superset, so one shared
 rule would change one engine's tree.
@@ -18,9 +22,9 @@ The subsumed-edge rule drops the canonically smallest edge that strictly
 contains another edge. The set of such edges is computed once at the root
 and carried down the tree. A child keeps the parent's subsumed edges that
 it still has and adds the strict-subset pairs that involve a mask new in
-the child. Only a discard creates new masks, by shrinking the edges
-through the discarded vertex; select and drop_edge only remove edges. A
-new pair must involve a new mask, and a subsumed edge that survives
+the child. Only discarding creates new masks, by shrinking the edges
+through the discarded vertices; selecting and drop_edge only remove
+edges. A new pair must involve a new mask, and a subsumed edge that survives
 unchanged keeps its witness: the rule never drops an inclusion-minimal
 edge, a select that removes the witness removes the superset too, and a
 discard that shrinks the witness changes the superset's mask as well. So
@@ -66,8 +70,9 @@ def _subsumed(edges: frozenset[int]) -> set[int]:
 def _derive_subsumed(subsumed: set[int], parent: frozenset[int], child: frozenset[int]) -> set[int]:
     """The subsumed edges of a child state, from those of its parent.
 
-    Exact for a child reached by selects, discards, or dropping one edge
-    of `subsumed` (the module docstring gives the argument).
+    Exact for a child reached by selects, discards (one at a time or
+    through `Instance.branch`), or dropping one edge of `subsumed` (the
+    module docstring gives the argument).
     """
     out = subsumed & child
     for g in child - parent:
@@ -89,14 +94,6 @@ class _EdgeKeys(dict):
         return key
 
 
-def _degrees(edges: frozenset[int]) -> dict[int, int]:
-    deg: dict[int, int] = {}
-    for e in edges:
-        for v in iter_bits(e):
-            deg[v] = deg.get(v, 0) + 1
-    return deg
-
-
 def _choose_b2(
     edges: frozenset[int], key: Callable[[int], tuple[int, ...]] = edge_key
 ) -> B2Choice:
@@ -107,9 +104,8 @@ def _choose_b2(
         raise ValueError("smallest edge overlaps no other edge; an earlier rule applies")
     best = max((f & e).bit_count() for f in partners)
     e_prime = min((f for f in partners if (f & e).bit_count() == best), key=key)
-    shared = sorted(iter_bits(e & e_prime))
-    private = sorted(iter_bits(e & ~e_prime))
-    return B2Choice(set_of(e), set_of(e_prime), tuple(shared + private))
+    ordering = (*iter_bits(e & e_prime), *iter_bits(e & ~e_prime))
+    return B2Choice(set_of(e), set_of(e_prime), ordering)
 
 
 def choose_b2(inst: Instance) -> B2Choice:
@@ -157,10 +153,11 @@ def _branch_step(minimality_discards: bool) -> BranchStep:
 
     def branch(inst: Instance, subsumed: set[int]) -> list[tuple[Instance, set[int]]]:
         edges = inst.emasks
-        union = 0
+        s1 = s2 = 0  # vertices of degree >= 1, >= 2
         for e in edges:
-            union |= e
-        isolated = inst.vmask & ~union
+            s2 |= s1 & e
+            s1 |= e
+        isolated = inst.vmask & ~s1
 
         children: list[Instance]
         if isolated:  # R1
@@ -171,25 +168,18 @@ def _branch_step(minimality_discards: bool) -> BranchStep:
             units = [e for e in edges if e.bit_count() == 1]
             if units:  # R3
                 children = [inst.select(min(units).bit_length() - 1)]
-            else:
-                deg = _degrees(edges)
-                ones = [v for v, d in deg.items() if d == 1]
-                if ones:  # B1
-                    v = min(ones)
+            elif ones := s1 & ~s2:  # B1 on the lowest degree-1 vertex
+                vb = ones & -ones
+                em = next(e for e in edges if e & vb)
+                selected = inst.branch(vb, em ^ vb if minimality_discards else 0)
+                children = [inst.discard(vb.bit_length() - 1), selected]
+            else:  # B2: child i selects v_i and discards v_1..v_{i-1}
+                children = []
+                dis = 0
+                for v in _choose_b2(edges, key).ordering:
                     vb = 1 << v
-                    em = next(e for e in edges if e & vb)
-                    selected = inst.select(v)
-                    if minimality_discards:
-                        for x in sorted(iter_bits(em & ~vb)):
-                            selected = selected.discard(x)
-                    children = [inst.discard(v), selected]
-                else:  # B2
-                    choice = _choose_b2(edges, key)
-                    children = []
-                    current = inst
-                    for v in choice.ordering:
-                        children.append(current.select(v))
-                        current = current.discard(v)
+                    children.append(inst.branch(vb, dis))
+                    dis |= vb
         return [(child, _derive_subsumed(subsumed, edges, child.emasks)) for child in children]
 
     return branch

@@ -12,8 +12,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 LAYERS = {
     "lb3-enumerate": ["rank3.next_rule_calls", "hypergraph.child_calls", "hypergraph.leaf_check_calls"],
-    "lb4-minimum": ["compression.subproblems"],
-    "rank6-redundant-count": ["rankk.self_s"],
+    "lb4-minimum": ["compression.subproblems", "hypergraph.leaf_check_calls"],
+    "rank6-redundant-count": ["rankk.self_s", "hypergraph.leaf_check_calls"],
 }
 
 

@@ -202,6 +202,14 @@ class TestExitCodes:
         assert code == 4
         assert err.startswith("internal error:")
 
+    @pytest.mark.parametrize("algorithm", ["rank3", "rankk"])
+    def test_invariant_breach_in_branch(self, monkeypatch, algorithm):
+        # the triangle's first rule branches, and every child is built by branch
+        monkeypatch.setattr(tv.Instance, "branch", lambda self, sel, dis: self)
+        code, _, err = run_cli(["enumerate", "--algorithm", algorithm], stdin_text="p hg 3 3\n1 2\n1 3\n2 3\n")
+        assert code == 4
+        assert err.startswith("internal error:")
+
 
 class TestGenerate:
     def test_lb_golden(self):

@@ -104,6 +104,65 @@ class TestMinimality:
             TRIANGLE.is_minimal_transversal({4})
 
 
+def edge_pass_minimal(h, s):
+    """One pass over the edges: every edge hit, every member owns an edge it hits alone."""
+    sm = 0
+    for v in s:
+        sm |= 1 << v
+    priv = 0
+    for e in h.edges:
+        hit = [v for v in e if sm >> v & 1]
+        if not hit:
+            return False
+        if len(hit) == 1:
+            priv |= 1 << hit[0]
+    return not sm & ~priv
+
+
+def minimality_cases():
+    cases = [Hypergraph(0, []), Hypergraph(0, [set()]), Hypergraph(4, []), TRIANGLE]
+    for k in range(1, 7):
+        deck = instance_deck(6, kmin=k, kmax=k, nmax=9)
+        cases += deck
+        cases.append(Hypergraph(deck[0].n + 2, deck[0].edges))  # two isolated vertices
+        cases.append(Hypergraph(deck[1].n, list(deck[1].edges) + [set()]))
+    return cases
+
+
+class TestIncidenceMinimality:
+    @pytest.mark.parametrize("h", minimality_cases())
+    def test_agrees_with_edge_pass(self, h):
+        for bits in range(1 << h.n):
+            s = [v for v in range(1, h.n + 1) if bits >> (v - 1) & 1]
+            want = edge_pass_minimal(h, s)
+            assert h.is_minimal_transversal(frozenset(s)) == want
+            assert h.is_minimal_transversal(iter(s + s[:2])) == want
+
+    def test_one_shot_and_repeated_input(self):
+        h = Hypergraph(3, [{1, 2}, {2, 3}])
+        assert h.is_minimal_transversal(iter([2, 2]))
+        assert h.is_minimal_transversal(v for v in (2,))
+        assert not h.is_minimal_transversal(iter([1, 2, 2, 1]))
+        assert h.is_minimal_transversal([1, 3, 1])
+
+    @pytest.mark.parametrize("v", [0, 4, -1])
+    def test_out_of_range_message(self, v):
+        with pytest.raises(ValueError, match=rf"^vertex {v} out of range 1\.\.3$"):
+            TRIANGLE.is_minimal_transversal([1, v])
+
+    def test_incidence_built_once_and_outside_equality(self):
+        h = Hypergraph(3, [{1, 2}, {1, 3}, {2, 3}])
+        twin = Hypergraph(3, [{2, 3}, {1, 3}, {1, 2}])
+        assert h._inc is None
+        assert h.is_minimal_transversal({1, 2})
+        rows = h._inc
+        assert rows == (0, 0b011, 0b101, 0b110)
+        assert not h.is_minimal_transversal({1, 2, 3})
+        assert h._inc is rows
+        assert twin._inc is None
+        assert h == twin and hash(h) == hash(twin)
+
+
 class TestInstance:
     def test_select_example(self):
         inst = Instance(TRIANGLE)
@@ -168,6 +227,31 @@ class TestInstance:
         assert inst.eta() == 6
         assert inst.select(1).eta() == 3
 
+    def test_branch_equals_chained_select_discard(self):
+        for h in instance_deck(20, kmin=1, kmax=4, nmax=6):
+            for inst in (Instance(h), Instance(h).select(1)):
+                verts = sorted(inst.vertices)
+                for code in range(3 ** len(verts)):
+                    sel = dis = 0
+                    chained = inst
+                    for v in verts:
+                        code, pick = divmod(code, 3)
+                        if pick == 1:
+                            sel |= 1 << v
+                            chained = chained.select(v)
+                        elif pick == 2:
+                            dis |= 1 << v
+                            chained = chained.discard(v)
+                    assert inst.branch(sel, dis) == chained
+
+    def test_branch_rejects_bad_masks(self):
+        inst = Instance(TRIANGLE).select(1)
+        with pytest.raises(ValueError, match="overlap"):
+            inst.branch(1 << 2, 1 << 2 | 1 << 3)
+        for sel, dis in [(1 << 1, 0), (0, 1 << 1), (1 << 4, 0), (0, 1), (1 << 2, 1 << 5)]:
+            with pytest.raises(ValueError, match="working set"):
+                inst.branch(sel, dis)
+
     def test_drop_edge(self):
         inst = Instance(TRIANGLE)
         assert inst.drop_edge({1, 2}).working_edges == {frozenset({1, 3}), frozenset({2, 3})}
@@ -200,6 +284,13 @@ class TestSearchKernel:
         monkeypatch.setattr(Instance, "discard", lambda self, v: self)
         with pytest.raises(tv.SearchInvariantError):
             engine(Hypergraph(3, [{1, 2}]), lambda t: None)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_branch_child_that_does_not_shrink_is_an_invariant_error(self, engine, monkeypatch):
+        # the triangle's first rule branches (rank3 R3_2, rankk B2)
+        monkeypatch.setattr(Instance, "branch", lambda self, sel, dis: self)
+        with pytest.raises(tv.SearchInvariantError):
+            engine(TRIANGLE, lambda t: None)
 
 
 def test_relabel_is_bijection_checked():
