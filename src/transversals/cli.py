@@ -82,7 +82,7 @@ def _pick_algorithm(name: str, h: Hypergraph) -> str:
     return "rankk"
 
 
-def _run_engine(name: str, h: Hypergraph, alpha: float, sink) -> SearchStats:
+def _run_engine(name: str, h: Hypergraph, config: CompressionConfig, sink) -> SearchStats:
     if name == "rank3":
         return enumerate_rank3(h, sink)
     if name == "rankk":
@@ -92,7 +92,7 @@ def _run_engine(name: str, h: Hypergraph, alpha: float, sink) -> SearchStats:
             raise UnsupportedInstanceError(
                 f"rank {h.rank()} input; compression with the default inner engine handles rank <= 4"
             )
-        return enumerate_compression(h, sink, CompressionConfig(alpha=alpha))
+        return enumerate_compression(h, sink, config)
     if name == "oracle":
         found = brute_force_enumerate(h)
         for t in found:
@@ -103,6 +103,8 @@ def _run_engine(name: str, h: Hypergraph, alpha: float, sink) -> SearchStats:
 
 
 def _cmd_enumeration(args: argparse.Namespace) -> int:
+    # Validates --alpha for every input, whichever engine runs.
+    config = CompressionConfig(alpha=args.alpha)
     h = _read_input(args.input)
     algorithm = _pick_algorithm(args.algorithm, h)
     out = sys.stdout
@@ -114,13 +116,13 @@ def _cmd_enumeration(args: argparse.Namespace) -> int:
     if args.command == "enumerate":
         if getattr(args, "canonical", False):
             collected: list[tuple[int, ...]] = []
-            stats = _run_engine(algorithm, h, args.alpha, lambda t: collected.append(tuple(sorted(t))))
+            stats = _run_engine(algorithm, h, config, lambda t: collected.append(tuple(sorted(t))))
             for row in sorted(collected):
                 out.write(line(row))
         else:
-            stats = _run_engine(algorithm, h, args.alpha, lambda t: out.write(line(sorted(t))))
+            stats = _run_engine(algorithm, h, config, lambda t: out.write(line(sorted(t))))
     elif args.command == "count":
-        stats = _run_engine(algorithm, h, args.alpha, lambda t: None)
+        stats = _run_engine(algorithm, h, config, lambda t: None)
         out.write(f"{stats.outputs}\n")
     elif args.command == "minimum":
         best: list[frozenset[int]] = []
@@ -129,7 +131,7 @@ def _cmd_enumeration(args: argparse.Namespace) -> int:
             if not best or len(t) < len(best[0]):
                 best[:] = [t]
 
-        stats = _run_engine(algorithm, h, args.alpha, track)
+        stats = _run_engine(algorithm, h, config, track)
         if best:
             out.write(line(sorted(best[0])))
     elif args.command == "count-minimum":
@@ -142,11 +144,11 @@ def _cmd_enumeration(args: argparse.Namespace) -> int:
             elif len(t) == state["size"]:
                 state["count"] += 1
 
-        stats = _run_engine(algorithm, h, args.alpha, tally)
+        stats = _run_engine(algorithm, h, config, tally)
         out.write(f"{state['count']}\n")
     else:  # bench
         started = time.perf_counter()
-        stats = _run_engine(algorithm, h, args.alpha, lambda t: None)
+        stats = _run_engine(algorithm, h, config, lambda t: None)
         elapsed = time.perf_counter() - started
         out.write(
             f"algorithm={algorithm} n={h.n} edges={len(h.edges)} rank={h.rank()} "

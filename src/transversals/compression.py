@@ -15,23 +15,35 @@ serves as the inner engine for rank-4 inputs. alpha tunes only the phase
 split, never the emitted set.
 
 The projection for N depends only on which edges N misses, and most
-subsets of X share one with another. The inner engine therefore runs once
-per distinct projection; for every later N with the same projection its
-recorded outputs are replayed, in the same order, through the same final
-filter. This relies on the inner engine giving the same outputs for equal
+subsets of X share one with another. N is kept as a bitmask over X, and
+one subset-OR table over X gives every N a key that is equal exactly for
+equal projections. The inner engine therefore runs once per distinct
+projection; for every later N with the same projection its recorded
+outputs are replayed, in the same order, through the same final filter.
+This relies on the inner engine giving the same outputs for equal
 hypergraphs, as every engine in the package does. The stats still
 describe the unmemoized tree: a replay adds the recorded inner counters
 again.
+
+The final filter checks only N's members. Since each Y is a minimal
+transversal of N's projection (the inner engine must emit nothing else),
+N union Y hits every edge, and each y in Y keeps a private edge: its
+projected edge misses N and the rest of Y. So the set is minimal iff
+every member of N has an edge that no other member of N and no member
+of Y hits. Each N's private edges come from the incidence rows of its
+members and each Y's hit edges are recorded with Y, so a check is a few
+bit operations, and N becomes a frozenset only when something is
+emitted or an inner run needs its projection.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from itertools import combinations
 
-from .bitsets import mask_of
+from .bitsets import iter_bits, mask_of
 from .hypergraph import Hypergraph, SearchStats, TransversalSink
 from .rank3 import enumerate_rank3
 from .rankk import enumerate_rankk
@@ -39,8 +51,10 @@ from .rankk import enumerate_rankk
 #: Phase split minimizing the worst phase on rank-4 inputs.
 DEFAULT_ALPHA = 0.66938
 
-#: An engine run on each distinct projection; it must give the same outputs,
-#: in the same order, and the same stats for equal hypergraphs.
+#: An engine run on each distinct projection. It must give the same outputs,
+#: in the same order, and the same stats for equal hypergraphs, and emit only
+#: minimal transversals of the hypergraph it is given: the final filter
+#: takes each output Y's own minimality for granted and checks only N.
 InnerEngine = Callable[[Hypergraph, TransversalSink], SearchStats]
 
 
@@ -50,6 +64,9 @@ class CompressionConfig:
 
     The inner engine runs once per distinct projection, and its recorded
     outputs and stats are reused for every N that projects the same way.
+    It must emit only minimal transversals of the projection it is given,
+    since the final filter checks the private edges of N's members alone
+    (see InnerEngine); every engine in the package does.
     """
 
     alpha: float = DEFAULT_ALPHA
@@ -128,48 +145,114 @@ def enumerate_compression(
     if inner is None:
         inner = enumerate_rank3 if h.rank() <= 4 else enumerate_rankk
 
-    # The projection for N depends only on which edges N misses: it is the
-    # set of their parts outside X. Edges sharing an inside part are missed
-    # together, so group them, and key N by a bitmap over the distinct
-    # outside parts of the edges it misses.
-    xm = mask_of(x)
-    outside_bit: dict[int, int] = {}
-    groups: dict[int, int] = {}
-    for e in h.edge_masks():
-        out = e & ~xm
-        bit = outside_bit.setdefault(out, 1 << len(outside_bit))
-        groups[e & xm] = groups.get(e & xm, 0) | bit
-    memo: dict[int, tuple[list[frozenset[int]], SearchStats]] = {}
-
-    def keep_minimal(t: frozenset[int]) -> None:
-        if h.is_minimal_transversal(t):
-            sink(t)
-            stats.outputs += 1
-
+    # N is an anchor-local counter: bit j stands for anchor[j]. Its key,
+    # equal for exactly the N with equal projections, comes from one table.
     anchor = sorted(x)
-    for counter in range(1 << len(anchor)):
-        n_sub = frozenset(anchor[j] for j in range(len(anchor)) if counter >> j & 1)
-        nm = mask_of(n_sub)
-        key = 0
-        for inside, bits in groups.items():
-            if not inside & nm:
-                key |= bits
+    full = (1 << len(anchor)) - 1
+    keys = _key_table(h.edge_masks(), anchor)
+    inc = h._incidence()
+    rows = [inc[v] for v in anchor]
+    # Per distinct key: the inner outputs Y, each with the edges it hits.
+    memo: dict[int, tuple[list[tuple[frozenset[int], int]], SearchStats]] = {}
 
+    def members(counter: int) -> frozenset[int]:
+        return frozenset(v for j, v in enumerate(anchor) if counter >> j & 1)
+
+    for counter in range(full + 1):
+        key = keys[full ^ counter]
         hit = memo.get(key)
         if hit is None:
-            ys: list[frozenset[int]] = []
+            n_sub = members(counter)
+            privs = _private_edges(rows, counter)
+            ys: list[tuple[frozenset[int], int]] = []
 
-            def record(y: frozenset[int], chosen: frozenset[int] = n_sub, ys: list = ys) -> None:
-                ys.append(y)
-                keep_minimal(chosen | y)
+            def record(
+                y: frozenset[int],
+                chosen: frozenset[int] = n_sub,
+                privs: list[int] | None = privs,
+                ys: list = ys,
+            ) -> None:
+                once_y = 0
+                for v in y:
+                    once_y |= inc[v]
+                ys.append((y, once_y))
+                if privs is not None and _keeps_minimal(privs, once_y):
+                    sink(chosen | y)
+                    stats.outputs += 1
 
             inner_stats = inner(project(h, x, n_sub), record)
             memo[key] = ys, inner_stats
         else:
             ys, inner_stats = hit
-            for y in ys:
-                keep_minimal(n_sub | y)
+            privs = _private_edges(rows, counter) if ys else None
+            if privs is not None:
+                chosen = None
+                for y, once_y in ys:
+                    if _keeps_minimal(privs, once_y):
+                        if chosen is None:
+                            chosen = members(counter)
+                        sink(chosen | y)
+                        stats.outputs += 1
         stats.nodes += inner_stats.nodes
         stats.leaves += inner_stats.leaves
         stats.max_depth = max(stats.max_depth, inner_stats.max_depth)
     return stats
+
+
+def _key_table(edge_masks: Iterable[int], anchor: list[int]) -> list[int]:
+    """keys[S]: a bitmap over the distinct outside-X parts of the edges whose
+    inside-X part lies in S, an anchor-local set (bit j for anchor[j]).
+
+    N's projection keeps the outside parts of exactly the edges whose
+    inside part avoids N, so keys[full ^ N] is equal for two N iff their
+    projections are. Each edge ORs its outside part's bit into the slot of
+    its exact inside part; the subset-OR (zeta) transform then gathers the
+    slots of every subset in O(|X| 2^|X|) ORs (Bjorklund, Husfeldt, Kaski
+    and Koivisto, "Fourier meets Mobius: fast subset convolution", STOC
+    2007).
+    """
+    local = {v: 1 << j for j, v in enumerate(anchor)}
+    xm = mask_of(anchor)
+    outside_bit: dict[int, int] = {}
+    keys = [0] * (1 << len(anchor))
+    for e in edge_masks:
+        inside = 0
+        for v in iter_bits(e & xm):
+            inside |= local[v]
+        keys[inside] |= outside_bit.setdefault(e & ~xm, 1 << len(outside_bit))
+    size = len(keys)
+    step = 1
+    while step < size:
+        for base in range(step, size, 2 * step):
+            for s in range(base, base + step):
+                keys[s] |= keys[s - step]
+        step *= 2
+    return keys
+
+
+def _private_edges(rows: list[int], counter: int) -> list[int] | None:
+    """For each member of N (bit j of counter selects rows[j], an incidence
+    row), the edges it hits and no other member does; None when a member
+    has none, since then no N | Y is minimal."""
+    once = twice = 0
+    member_rows = []
+    while counter:
+        low = counter & -counter
+        row = rows[low.bit_length() - 1]
+        twice |= once & row
+        once |= row
+        member_rows.append(row)
+        counter ^= low
+    privs = [row & ~twice for row in member_rows]
+    return privs if all(privs) else None
+
+
+def _keeps_minimal(privs: list[int], once_y: int) -> bool:
+    """The final filter: is N | Y a minimal transversal of the input?
+
+    privs is _private_edges of N, once_y the edges Y hits. Exact when Y is
+    a minimal transversal of N's projection (see the module docstring):
+    then only N's members can lack a private edge. This is the "crit" test
+    of Murakami and Uno (DAM 2014), restricted to N.
+    """
+    return all(p & ~once_y for p in privs)

@@ -35,3 +35,7 @@ def test_workload_runs_traced(workload):
     assert result["failed"] == 0
     for name in LAYERS[workload]:
         assert result["metrics"][name]["value"] > 0, name
+    if workload == "lb4-minimum":
+        # the anchor is the first subset scanned, and the final filter
+        # makes no leaf check, so phase 1 is one transversal test
+        assert result["metrics"]["compression.phase1_subsets"]["value"] == 1

@@ -194,6 +194,15 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text", [TRIANGLE_TEXT, TWO_TRIPLES, "p hg 4 1\n1 2 3 4\n", "p hg 5 1\n1 2 3 4 5\n"],
+        ids=["rank2", "rank3", "rank4", "rank5"],
+    )
+    def test_bad_alpha_rejected_for_every_rank(self, text):
+        # --alpha is checked before the engine is picked, not only by compression
+        code, out, err = run_cli(["count", "--alpha", "0.3"], stdin_text=text)
+        assert (code, out, err) == (2, "", "error: alpha must lie in [0.5, 1]\n")
+
     @pytest.mark.parametrize("algorithm", ["rank3", "rankk"])
     def test_invariant_breach(self, monkeypatch, algorithm):
         # a discard that returns its own state does not shrink |V|+|E|

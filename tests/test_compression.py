@@ -1,8 +1,11 @@
 import hashlib
 import math
+from collections import defaultdict
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import transversals as tv
 from transversals import (
@@ -13,6 +16,7 @@ from transversals import (
     find_split,
     project,
 )
+from transversals.compression import DEFAULT_ALPHA, _keeps_minimal, _key_table, _private_edges
 
 from helpers import instance_deck, oracle, packed_blocks, run
 
@@ -290,6 +294,87 @@ class TestProjectionMemo:
         assert len(calls) == distinct_projections(h)
 
 
+PHASE2_DECKS = pytest.mark.parametrize(
+    "deck,config",
+    [
+        (rank4_deck(40), None),
+        (rank4_deck(20), CompressionConfig(alpha=0.5)),
+        (rank4_deck(20), CompressionConfig(alpha=0.8)),
+        (rank4_deck(20), CompressionConfig(inner_engine=tv.enumerate_rankk)),
+        ([RANK5], None),
+    ],
+    ids=["rank4", "alpha-0.5", "alpha-0.8", "rankk-inner", "rank5"],
+)
+
+
+def anchored(deck, config):
+    """(h, x, anchor-local counters with their N) for every deck input that
+    reaches phase 2."""
+    for h in deck:
+        x = find_split(h, (config or CompressionConfig()).alpha)
+        if x is not None:
+            yield h, x, list(enumerate(subsets_of(x)))
+
+
+class TestPhase2Masks:
+    @PHASE2_DECKS
+    def test_keys_partition_subsets_like_projections(self, deck, config):
+        for h, x, subsets in anchored(deck, config):
+            full = (1 << len(x)) - 1
+            keys = _key_table(h.edge_masks(), sorted(x))
+            by_key, by_projection = defaultdict(set), defaultdict(set)
+            for counter, n_sub in subsets:
+                by_key[keys[full ^ counter]].add(counter)
+                by_projection[project(h, x, n_sub).edges].add(counter)
+            assert sorted(map(sorted, by_key.values())) == sorted(map(sorted, by_projection.values()))
+
+    @PHASE2_DECKS
+    def test_member_filter_agrees_with_full_check(self, deck, config):
+        inner = config.inner_engine if config else None
+        verdicts = set()  # the filter both accepts and rejects on every deck
+        for h, x, subsets in anchored(deck, config):
+            engine = inner or (tv.enumerate_rank3 if h.rank() <= 4 else tv.enumerate_rankk)
+            inc = h._incidence()
+            rows = [inc[v] for v in sorted(x)]
+            for counter, n_sub in subsets:
+                privs = _private_edges(rows, counter)
+                ys = []
+                engine(project(h, x, n_sub), ys.append)
+                for y in ys:
+                    once_y = 0
+                    for v in y:
+                        once_y |= inc[v]
+                    got = privs is not None and _keeps_minimal(privs, once_y)
+                    assert got == h.is_minimal_transversal(n_sub | y), (h, n_sub, y)
+                    verdicts.add(got)
+        assert verdicts == {True, False}
+
+    def test_private_edges(self):
+        assert _private_edges([0b011, 0b110, 0b100], 0) == []
+        assert _private_edges([0b011, 0b110, 0b100], 0b011) == [0b001, 0b100]
+        assert _private_edges([0b011, 0b110, 0b100], 0b111) is None  # member 2's one edge is member 1's too
+        assert _keeps_minimal([], 0b111)
+        assert not _keeps_minimal([0b001, 0b100], 0b101)
+
+
+@st.composite
+def small_hypergraphs(draw):
+    """n <= 10, rank <= 4; empty edges and isolated vertices included."""
+    n = draw(st.integers(0, 10))
+    edge = st.frozensets(st.integers(1, max(n, 1)), max_size=min(n, 4))
+    return Hypergraph(n, draw(st.lists(edge, max_size=12)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(h=small_hypergraphs(), alpha=st.sampled_from([0.5, DEFAULT_ALPHA, 1.0]))
+def test_matches_oracle_each_set_once(h, alpha):
+    out = []
+    stats = enumerate_compression(h, out.append, CompressionConfig(alpha=alpha))
+    got = [tuple(sorted(t)) for t in out]
+    assert len(got) == len(set(got)) == stats.outputs
+    assert sorted(got) == oracle(h)
+
+
 @pytest.mark.parametrize(
     "h,shape,digest",
     [
@@ -308,8 +393,14 @@ class TestProjectionMemo:
             (9006, 8216, 21, 16),
             "de973a4618814b1526a5823343e551b61b1980430b55af99e7f076c0540467f0",
         ),
+        (
+            # |X| = 16: 65,536 subsets, 9,992 distinct projections
+            tv.gen_random(tv.GeneratorSpec("random", k=4, n=24, m=60, seed=5)),
+            (78639, 65558, 24, 12),
+            "b0cc4e2e2d163249c1c70ba26979c9ddf0bcab71941db69cc5baef480dbe8601",
+        ),
     ],
-    ids=["lb4-n17", "blocks-4-4-2", "random-k4-n20-m30-s3"],
+    ids=["lb4-n17", "blocks-4-4-2", "random-k4-n20-m30-s3", "random-k4-n24-m60-s5"],
 )
 def test_tree_shape_pinned(h, shape, digest):
     lines = []
