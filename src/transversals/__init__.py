@@ -6,89 +6,65 @@ branching engine for every rank. An analysis toolbox verifies the weighted
 measure behind the rank-3 bound and reproduces the per-rank bound table,
 and a brute-force oracle plus instance generators support differential
 testing.
+
+The public names below load their home module on first access (PEP 562),
+so `import transversals` imports no submodule, and a program that uses
+only the engines never loads the analysis toolbox or the generators.
 """
 
-from .analysis import (
-    DEFAULT_WEIGHTS,
-    BoundsRow,
-    ConstraintReport,
-    ConstraintRow,
-    Weights,
-    bounds_table,
-    branching_factor,
-    format_report,
-    load_weights,
-    lower_bound_base,
-    measure,
-    verify_weights,
-)
-from .compression import (
-    DEFAULT_ALPHA,
-    CompressionConfig,
-    enumerate_compression,
-    find_split,
-    project,
-)
-from .errors import ParseError, SearchInvariantError, UnsupportedInstanceError
-from .hypergraph import (
-    Hypergraph,
-    Instance,
-    SearchStats,
-    TransversalSink,
-    parse_hypergraph,
-    relabel,
-    serialize_hypergraph,
-)
-from .instances import (
-    GeneratorSpec,
-    brute_force_enumerate,
-    gen_lower_bound,
-    gen_random,
-    gen_triangles,
-    generate,
-)
-from .rank3 import RuleId, apply_rule, enumerate_rank3, next_rule
-from .rankk import B2Choice, choose_b2, enumerate_rankk
+from importlib import import_module
 
-__all__ = [
-    "B2Choice",
-    "BoundsRow",
-    "CompressionConfig",
-    "ConstraintReport",
-    "ConstraintRow",
-    "DEFAULT_ALPHA",
-    "DEFAULT_WEIGHTS",
-    "GeneratorSpec",
-    "Hypergraph",
-    "Instance",
-    "ParseError",
-    "RuleId",
-    "SearchInvariantError",
-    "SearchStats",
-    "TransversalSink",
-    "UnsupportedInstanceError",
-    "Weights",
-    "apply_rule",
-    "bounds_table",
-    "branching_factor",
-    "brute_force_enumerate",
-    "choose_b2",
-    "enumerate_compression",
-    "enumerate_rank3",
-    "enumerate_rankk",
-    "find_split",
-    "format_report",
-    "gen_lower_bound",
-    "gen_random",
-    "gen_triangles",
-    "generate",
-    "load_weights",
-    "lower_bound_base",
-    "measure",
-    "next_rule",
-    "parse_hypergraph",
-    "project",
-    "relabel",
-    "serialize_hypergraph",
-    "verify_weights",
-]
+_HOMES = {
+    "analysis": (
+        "DEFAULT_WEIGHTS",
+        "BoundsRow",
+        "ConstraintReport",
+        "ConstraintRow",
+        "Weights",
+        "bounds_table",
+        "branching_factor",
+        "format_report",
+        "load_weights",
+        "lower_bound_base",
+        "measure",
+        "verify_weights",
+    ),
+    "compression": ("DEFAULT_ALPHA", "CompressionConfig", "enumerate_compression", "find_split", "project"),
+    "errors": ("ParseError", "SearchInvariantError", "UnsupportedInstanceError"),
+    "hypergraph": (
+        "Hypergraph",
+        "Instance",
+        "SearchStats",
+        "TransversalSink",
+        "parse_hypergraph",
+        "relabel",
+        "serialize_hypergraph",
+    ),
+    "instances": (
+        "GeneratorSpec",
+        "brute_force_enumerate",
+        "gen_lower_bound",
+        "gen_random",
+        "gen_triangles",
+        "generate",
+    ),
+    "rank3": ("RuleId", "apply_rule", "enumerate_rank3", "next_rule"),
+    "rankk": ("B2Choice", "choose_b2", "enumerate_rankk"),
+}
+
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME_OF)
+
+
+def __getattr__(name: str):
+    module = _HOME_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

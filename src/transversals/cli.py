@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 failed measure verification, 2 input parse or
 usage failure, 3 algorithm/input mismatch, 4 internal invariant breach.
+
+The enumeration commands import only the engines; the analysis toolbox
+and the instance generators load inside the commands that use them.
 """
 
 from __future__ import annotations
@@ -10,11 +13,9 @@ import argparse
 import sys
 import time
 
-from .analysis import DEFAULT_WEIGHTS, bounds_table, format_report, load_weights, verify_weights
 from .compression import DEFAULT_ALPHA, CompressionConfig, enumerate_compression
 from .errors import ParseError, SearchInvariantError, UnsupportedInstanceError
 from .hypergraph import Hypergraph, SearchStats, parse_hypergraph, serialize_hypergraph
-from .instances import GeneratorSpec, brute_force_enumerate, generate
 from .rank3 import enumerate_rank3
 from .rankk import enumerate_rankk
 
@@ -94,6 +95,8 @@ def _run_engine(name: str, h: Hypergraph, config: CompressionConfig, sink) -> Se
             )
         return enumerate_compression(h, sink, config)
     if name == "oracle":
+        from .instances import brute_force_enumerate
+
         found = brute_force_enumerate(h)
         for t in found:
             sink(t)
@@ -166,6 +169,8 @@ def _cmd_enumeration(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from .instances import GeneratorSpec, generate
+
     kind = {"lb": "lower_bound", "triangles": "triangles", "random": "random"}[args.kind]
     if kind == "triangles":
         if args.k not in (None, 2):
@@ -184,6 +189,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_measure(args: argparse.Namespace) -> int:
+    from .analysis import DEFAULT_WEIGHTS, format_report, load_weights, verify_weights
+
     if args.weights is None:
         weights = DEFAULT_WEIGHTS
     else:
@@ -195,6 +202,8 @@ def _cmd_verify_measure(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds_table(args: argparse.Namespace) -> int:
+    from .analysis import bounds_table
+
     if args.kmax < 2:
         raise ParseError("--kmax must be at least 2")
     sys.stdout.write("k lower upper\n")

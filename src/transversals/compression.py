@@ -40,11 +40,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from itertools import combinations
 
 from .bitsets import iter_bits, mask_of
-from .hypergraph import Hypergraph, SearchStats, TransversalSink
+from .hypergraph import Hypergraph, SearchStats, TransversalSink, _FrozenRecord
 from .rank3 import enumerate_rank3
 from .rankk import enumerate_rankk
 
@@ -58,8 +57,7 @@ DEFAULT_ALPHA = 0.66938
 InnerEngine = Callable[[Hypergraph, TransversalSink], SearchStats]
 
 
-@dataclass(frozen=True)
-class CompressionConfig:
+class CompressionConfig(_FrozenRecord):
     """alpha in [0.5, 1]; inner_engine of None picks one from the input rank.
 
     The inner engine runs once per distinct projection, and its recorded
@@ -69,12 +67,13 @@ class CompressionConfig:
     (see InnerEngine); every engine in the package does.
     """
 
-    alpha: float = DEFAULT_ALPHA
-    inner_engine: InnerEngine | None = None
+    __slots__ = ("alpha", "inner_engine")
 
-    def __post_init__(self) -> None:
-        if not 0.5 <= self.alpha <= 1.0:
+    def __init__(self, alpha: float = DEFAULT_ALPHA, inner_engine: InnerEngine | None = None) -> None:
+        if not 0.5 <= alpha <= 1.0:
             raise ValueError("alpha must lie in [0.5, 1]")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "inner_engine", inner_engine)
 
 
 def project(h: Hypergraph, x: frozenset[int], n_sub: frozenset[int]) -> Hypergraph:

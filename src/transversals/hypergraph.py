@@ -16,7 +16,6 @@ selects and discards several vertices in one pass over its edges.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from typing import Any
 
 from .bitsets import mask_of, set_of
@@ -147,7 +146,7 @@ class Instance:
         self.original = original
         self.smask = original._vertex_mask(partial)
         if vertices is None:
-            self.vmask = original._vertex_mask(range(1, original.n + 1)) & ~self.smask
+            self.vmask = ((1 << (original.n + 1)) - 2) & ~self.smask
         else:
             self.vmask = original._vertex_mask(vertices)
             if self.vmask & self.smask:
@@ -202,7 +201,10 @@ class Instance:
 
     def drop_edge(self, edge: Iterable[int]) -> Instance:
         """Remove one working edge (used by the subsumption reductions)."""
-        em = mask_of(edge)
+        return self._drop_mask(mask_of(edge))
+
+    def _drop_mask(self, em: int) -> Instance:
+        """drop_edge for an edge given as its mask."""
         if em not in self.emasks:
             raise ValueError("no such working edge")
         return self._spawn(self.vmask, self.emasks - {em}, self.smask)
@@ -240,14 +242,57 @@ class Instance:
         return f"Instance(V={sorted(self.vertices)}, E={edges}, S={sorted(self.partial)})"
 
 
-@dataclass
-class SearchStats:
+class _Record:
+    """A value class over its __slots__: field-wise ==, a keyword repr.
+
+    What `@dataclass` would generate, without importing `dataclasses`
+    (and with it `inspect`) on the enumeration path. Unhashable, like a
+    mutable dataclass; see _FrozenRecord.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class _FrozenRecord(_Record):
+    """An immutable, hashable _Record; __init__ sets fields with object.__setattr__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class SearchStats(_Record):
     """Counters for one run; leaves <= nodes and outputs <= leaves throughout."""
 
-    nodes: int = 0
-    leaves: int = 0
-    max_depth: int = 0
-    outputs: int = 0
+    __slots__ = ("nodes", "leaves", "max_depth", "outputs")
+
+    def __init__(self, nodes: int = 0, leaves: int = 0, max_depth: int = 0, outputs: int = 0) -> None:
+        self.nodes = nodes
+        self.leaves = leaves
+        self.max_depth = max_depth
+        self.outputs = outputs
 
 
 #: An engine's branching rules: a state that has working edges, none of

@@ -42,12 +42,14 @@ drop_edge.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .analysis import DEFAULT_WEIGHTS, Weights, measure_parts
 from .bitsets import edge_key, iter_bits, set_of
 from .errors import SearchInvariantError, UnsupportedInstanceError
 from .hypergraph import Hypergraph, Instance, SearchStats, TransversalSink, search
+
+if TYPE_CHECKING:
+    from .analysis import Weights
 
 #: Absolute tolerance on sums of 2**mu in the measure re-validation.
 MEASURE_TOLERANCE = 1e-9
@@ -281,7 +283,11 @@ def enumerate_rank3(
     """
     if h.rank() > 3:
         raise UnsupportedInstanceError(f"rank {h.rank()} input; this engine handles rank <= 3")
-    mweights = (weights or DEFAULT_WEIGHTS) if check_measure else None
+    mweights = None
+    if check_measure:  # the analysis toolbox loads only for this check
+        from .analysis import DEFAULT_WEIGHTS
+
+        mweights = weights or DEFAULT_WEIGHTS
 
     def branch(inst: Instance, _: None) -> list[tuple[Instance, None]]:
         rule = next_rule(inst)
@@ -299,6 +305,8 @@ def enumerate_rank3(
 
 
 def _measure_of(inst: Instance, w: Weights) -> float:
+    from .analysis import measure_parts
+
     small = 0
     deg = dict.fromkeys(iter_bits(inst.vmask), 0)
     for e in inst.emasks:

@@ -36,20 +36,21 @@ the same minimal transversals as the input; the leaf check runs on them.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from itertools import groupby
 
 from .bitsets import edge_key, iter_bits, set_of
-from .hypergraph import BranchStep, Hypergraph, Instance, SearchStats, TransversalSink, search
+from .hypergraph import BranchStep, Hypergraph, Instance, SearchStats, TransversalSink, _FrozenRecord, search
 
 
-@dataclass(frozen=True)
-class B2Choice:
+class B2Choice(_FrozenRecord):
     """Smallest-edge branching data: e, its overlap partner, and the branch order."""
 
-    e: frozenset[int]
-    e_prime: frozenset[int]
-    ordering: tuple[int, ...]
+    __slots__ = ("e", "e_prime", "ordering")
+
+    def __init__(self, e: frozenset[int], e_prime: frozenset[int], ordering: tuple[int, ...]) -> None:
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "e_prime", e_prime)
+        object.__setattr__(self, "ordering", ordering)
 
 
 def _subsumed(edges: frozenset[int]) -> set[int]:
@@ -163,7 +164,7 @@ def _branch_step(minimality_discards: bool) -> BranchStep:
         if isolated:  # R1
             children = [inst.discard((isolated & -isolated).bit_length() - 1)]
         elif subsumed:  # R2
-            children = [inst.drop_edge(set_of(min(subsumed, key=key)))]
+            children = [inst._drop_mask(min(subsumed, key=key))]
         else:
             units = [e for e in edges if e.bit_count() == 1]
             if units:  # R3

@@ -255,8 +255,27 @@ class TestInstance:
     def test_drop_edge(self):
         inst = Instance(TRIANGLE)
         assert inst.drop_edge({1, 2}).working_edges == {frozenset({1, 3}), frozenset({2, 3})}
-        with pytest.raises(ValueError):
-            inst.drop_edge({1, 2, 3})
+        assert inst._drop_mask(0b110) == inst.drop_edge({1, 2})
+        for drop in (lambda: inst.drop_edge({1, 2, 3}), lambda: inst._drop_mask(0b1110)):
+            with pytest.raises(ValueError, match="^no such working edge$"):
+                drop()
+
+    def test_root_equals_one_built_vertex_by_vertex(self):
+        # A root over the whole universe is one mask expression; naming the
+        # vertices goes through the range-checked loop.
+        for n in range(31):
+            h = Hypergraph(n, [[v] for v in range(2, n + 1, 3)])
+            for partial in ((), range(1, n + 1, 3)):
+                rest = [v for v in range(1, n + 1) if v not in partial]
+                root = Instance(h, partial=partial)
+                named = Instance(h, vertices=rest, partial=partial)
+                assert root == named
+                assert (root.vmask, root.emasks, root.smask) == (named.vmask, named.emasks, named.smask)
+        h = Hypergraph(3, [{1, 2}])
+        with pytest.raises(ValueError, match=r"^vertex 4 out of range 1\.\.3$"):
+            Instance(h, partial={4})
+        with pytest.raises(ValueError, match=r"^vertex 0 out of range 1\.\.3$"):
+            Instance(h, vertices={0, 1, 2})
 
 
 ENGINES = [tv.enumerate_rank3, tv.enumerate_rankk]
