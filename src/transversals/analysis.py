@@ -24,6 +24,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .bitsets import iter_bits
 from .errors import UnsupportedInstanceError
 from .hypergraph import Hypergraph
 
@@ -113,23 +114,27 @@ DEFAULT_WEIGHTS = Weights(
 )
 
 
-def measure_parts(degrees: Iterable[int], small_edges: int, w: Weights) -> float:
-    """mu from a degree multiset and the number of edges of size <= 2."""
-    return w.psi_at(small_edges) + sum(w.omega_at(d) for d in degrees)
+def mask_measure(vmask: int, edges: Iterable[int], w: Weights) -> float:
+    """mu of the vertices in mask vmask and the edges given as masks.
+
+    psi of the number of edges of size <= 2, plus omega of each vertex's
+    degree, summed over the vertices in ascending id order.
+    """
+    small = 0
+    deg = dict.fromkeys(iter_bits(vmask), 0)
+    for e in edges:
+        if e.bit_count() <= 2:
+            small += 1
+        for v in iter_bits(e):
+            deg[v] += 1
+    return w.psi_at(small) + sum(w.omega_at(d) for d in deg.values())
 
 
 def measure(h: Hypergraph, w: Weights = DEFAULT_WEIGHTS) -> float:
     """Measure of a rank-<=3 hypergraph over its full vertex universe."""
     if h.rank() > 3:
         raise UnsupportedInstanceError(f"rank {h.rank()} input; the measure is defined for rank <= 3")
-    deg = [0] * (h.n + 1)
-    small = 0
-    for e in h.edges:
-        if len(e) <= 2:
-            small += 1
-        for v in e:
-            deg[v] += 1
-    return measure_parts(deg[1:], small, w)
+    return mask_measure((1 << (h.n + 1)) - 2, h.edge_masks(), w)
 
 
 @dataclass(frozen=True)

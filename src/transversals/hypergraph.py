@@ -140,7 +140,6 @@ class Instance:
         self,
         original: Hypergraph,
         vertices: Iterable[int] | None = None,
-        edges: Iterable[Iterable[int]] | None = None,
         partial: Iterable[int] = (),
     ) -> None:
         self.original = original
@@ -151,10 +150,7 @@ class Instance:
             self.vmask = original._vertex_mask(vertices)
             if self.vmask & self.smask:
                 raise ValueError("working vertices and partial solution overlap")
-        if edges is None:
-            self.emasks = frozenset(original.edge_masks())
-        else:
-            self.emasks = frozenset(mask_of(e) for e in edges)
+        self.emasks = frozenset(original.edge_masks())
         for em in self.emasks:
             if em & ~self.vmask:
                 raise ValueError("working edge contains a non-working vertex")

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .bitsets import edge_key, iter_bits, set_of
+from .bitsets import edge_key, set_of
 from .errors import SearchInvariantError, UnsupportedInstanceError
 from .hypergraph import Hypergraph, Instance, SearchStats, TransversalSink, search
 
@@ -220,13 +220,8 @@ def _busiest(edges: frozenset[int], cand: int) -> int:
     return cand & -cand
 
 
-def apply_rule(inst: Instance, rule: RuleId, minimality_discards: bool = True) -> list[Instance]:
-    """Child instances of a rule, in branch order; empty for halting rules.
-
-    With minimality_discards=False the companion discards of R2_1, R2_3,
-    R4_2 and R4_3 are skipped (reference variant for testing; the emitted
-    set is unchanged, only the tree grows).
-    """
+def apply_rule(inst: Instance, rule: RuleId) -> list[Instance]:
+    """Child instances of a rule, in branch order; empty for halting rules."""
     t = rule.tag
     if t in ("R0_0", "R0_1"):
         return []
@@ -241,13 +236,12 @@ def apply_rule(inst: Instance, rule: RuleId, minimality_discards: bool = True) -
     vb = 1 << rule.v
     if t == "R2_1":
         ub = 1 << rule.u
-        return [inst.branch(vb, ub if minimality_discards else 0), inst.branch(ub, vb)]
+        return [inst.branch(vb, ub), inst.branch(ub, vb)]
     if t == "R2_2":
         em = vb | 1 << rule.u | 1 << rule.w
         return [inst.branch(xb, em ^ xb) for xb in sorted((vb, 1 << rule.u, 1 << rule.w))]
     if t == "R2_3":
-        dis = 1 << rule.u | 1 << rule.w if minimality_discards else 0
-        return [inst.branch(vb, dis), inst.branch(0, vb)]
+        return [inst.branch(vb, 1 << rule.u | 1 << rule.w), inst.branch(0, vb)]
     if t == "R3_1":
         return [inst.branch(vb, 0), inst.branch(1 << rule.u1, vb)]
     if t == "R3_2":
@@ -260,18 +254,16 @@ def apply_rule(inst: Instance, rule: RuleId, minimality_discards: bool = True) -
     if t == "R4_1":
         return [inst.branch(vb, 0), inst.branch(0, vb)]
     if t == "R4_2":
-        return [inst.branch(vb, 1 << rule.u if minimality_discards else 0), inst.branch(0, vb)]
+        return [inst.branch(vb, 1 << rule.u), inst.branch(0, vb)]
     # R4_3
     u1b = 1 << rule.u1
-    dis = 1 << rule.u2 | 1 << rule.w2 if minimality_discards else 0
-    return [inst.branch(vb | u1b, dis), inst.branch(vb, u1b), inst.branch(0, vb)]
+    return [inst.branch(vb | u1b, 1 << rule.u2 | 1 << rule.w2), inst.branch(vb, u1b), inst.branch(0, vb)]
 
 
 def enumerate_rank3(
     h: Hypergraph,
     sink: TransversalSink,
     *,
-    minimality_discards: bool = True,
     check_measure: bool = False,
     weights: Weights | None = None,
 ) -> SearchStats:
@@ -285,16 +277,16 @@ def enumerate_rank3(
         raise UnsupportedInstanceError(f"rank {h.rank()} input; this engine handles rank <= 3")
     mweights = None
     if check_measure:  # the analysis toolbox loads only for this check
-        from .analysis import DEFAULT_WEIGHTS
+        from .analysis import DEFAULT_WEIGHTS, mask_measure
 
         mweights = weights or DEFAULT_WEIGHTS
 
     def branch(inst: Instance, _: None) -> list[tuple[Instance, None]]:
         rule = next_rule(inst)
-        children = apply_rule(inst, rule, minimality_discards)
+        children = apply_rule(inst, rule)
         if mweights is not None:
-            parent = 2.0 ** _measure_of(inst, mweights)
-            total = sum(2.0 ** _measure_of(c, mweights) for c in children)
+            parent = 2.0 ** mask_measure(inst.vmask, inst.emasks, mweights)
+            total = sum(2.0 ** mask_measure(c.vmask, c.emasks, mweights) for c in children)
             if total > parent + MEASURE_TOLERANCE:
                 raise SearchInvariantError(
                     f"measure inequality violated at {rule.tag}: {total!r} > {parent!r}"
@@ -302,16 +294,3 @@ def enumerate_rank3(
         return [(child, None) for child in children]
 
     return search(Instance(h), branch, h, sink)
-
-
-def _measure_of(inst: Instance, w: Weights) -> float:
-    from .analysis import measure_parts
-
-    small = 0
-    deg = dict.fromkeys(iter_bits(inst.vmask), 0)
-    for e in inst.emasks:
-        if e.bit_count() <= 2:
-            small += 1
-        for v in iter_bits(e):
-            deg[v] += 1
-    return measure_parts(deg.values(), small, w)

@@ -126,24 +126,15 @@ def choose_b2(inst: Instance) -> B2Choice:
     return _choose_b2(edges)
 
 
-def enumerate_rankk(
-    h: Hypergraph,
-    sink: TransversalSink,
-    *,
-    minimality_discards: bool = True,
-) -> SearchStats:
-    """Invoke sink once per minimal transversal of h; accepts any rank.
-
-    minimality_discards=False skips the companion discards of the degree-1
-    select branch (testing variant; same emitted set, larger tree).
-    """
+def enumerate_rankk(h: Hypergraph, sink: TransversalSink) -> SearchStats:
+    """Invoke sink once per minimal transversal of h; accepts any rank."""
     root = Instance(h)
     subsumed = _subsumed(root.emasks)
     leaf_graph = Hypergraph(h.n, (set_of(e) for e in root.emasks - subsumed))
-    return search(root, _branch_step(minimality_discards), leaf_graph, sink, subsumed)
+    return search(root, _branch_step(), leaf_graph, sink, subsumed)
 
 
-def _branch_step(minimality_discards: bool) -> BranchStep:
+def _branch_step() -> BranchStep:
     """The rules R1..B2 for one run of the kernel.
 
     The value carried with each state is the set of its edges that
@@ -172,8 +163,7 @@ def _branch_step(minimality_discards: bool) -> BranchStep:
             elif ones := s1 & ~s2:  # B1 on the lowest degree-1 vertex
                 vb = ones & -ones
                 em = next(e for e in edges if e & vb)
-                selected = inst.branch(vb, em ^ vb if minimality_discards else 0)
-                children = [inst.discard(vb.bit_length() - 1), selected]
+                children = [inst.discard(vb.bit_length() - 1), inst.branch(vb, em ^ vb)]
             else:  # B2: child i selects v_i and discards v_1..v_{i-1}
                 children = []
                 dis = 0

@@ -14,6 +14,7 @@ from transversals.analysis import (
     format_report,
     load_weights,
     lower_bound_base,
+    mask_measure,
     measure,
     verify_weights,
 )
@@ -59,6 +60,23 @@ class TestMeasure:
     def test_non_negative(self):
         for h in instance_deck(25, kmax=3):
             assert measure(h) >= 0.0
+
+    @pytest.mark.parametrize(
+        "w",
+        [
+            DEFAULT_WEIGHTS,
+            # omega_0 > 0, so isolated vertices count too
+            Weights((0.1, 0.5, 0.6, 0.7, 0.8, 0.9, 0.9), (0.5, 0.4, 0.3, 0.2, 0.1, 0.05, 0.0)),
+        ],
+        ids=["default", "other"],
+    )
+    def test_equals_the_per_node_measure(self, w):
+        # rank3's check_measure evaluates mask_measure on each working state
+        deck = instance_deck(120, kmin=1, kmax=3, nmin=4) + [tv.gen_lower_bound(3, 15)]
+        for h in deck:
+            if h.rank() <= 3:
+                inst = tv.Instance(h)
+                assert measure(h, w) == mask_measure(inst.vmask, inst.emasks, w)
 
 
 class TestVerifyWeights:

