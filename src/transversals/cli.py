@@ -127,34 +127,28 @@ def _cmd_enumeration(args: argparse.Namespace) -> int:
     elif args.command == "count":
         stats = _run_engine(algorithm, h, config, lambda t: None)
         out.write(f"{stats.outputs}\n")
-    elif args.command == "minimum":
-        best: list[frozenset[int]] = []
-
-        def track(t: frozenset[int]) -> None:
-            if not best or len(t) < len(best[0]):
-                best[:] = [t]
-
-        stats = _run_engine(algorithm, h, config, track)
-        if best:
-            out.write(line(sorted(best[0])))
-    elif args.command == "count-minimum":
-        state = {"size": None, "count": 0}
+    elif args.command in ("minimum", "count-minimum"):
+        best: frozenset[int] | None = None  # the first transversal of minimum size
+        ties = 0  # transversals of its size
 
         def tally(t: frozenset[int]) -> None:
-            if state["size"] is None or len(t) < state["size"]:
-                state["size"] = len(t)
-                state["count"] = 1
-            elif len(t) == state["size"]:
-                state["count"] += 1
+            nonlocal best, ties
+            if best is None or len(t) < len(best):
+                best, ties = t, 1
+            elif len(t) == len(best):
+                ties += 1
 
         stats = _run_engine(algorithm, h, config, tally)
-        out.write(f"{state['count']}\n")
+        if args.command == "count-minimum":
+            out.write(f"{ties}\n")
+        elif best is not None:
+            out.write(line(sorted(best)))
     else:  # bench
         started = time.perf_counter()
         stats = _run_engine(algorithm, h, config, lambda t: None)
         elapsed = time.perf_counter() - started
         out.write(
-            f"algorithm={algorithm} n={h.n} edges={len(h.edges)} rank={h.rank()} "
+            f"algorithm={algorithm} n={h.n} edges={len(h.edge_masks())} rank={h.rank()} "
             f"outputs={stats.outputs} nodes={stats.nodes} leaves={stats.leaves} "
             f"max_depth={stats.max_depth}\n"
         )

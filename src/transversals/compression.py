@@ -87,12 +87,9 @@ def project(h: Hypergraph, x: frozenset[int], n_sub: frozenset[int]) -> Hypergra
     n_sub = frozenset(n_sub)
     if not n_sub <= x:
         raise ValueError("N must be a subset of X")
-    for v in x:
-        if not 1 <= v <= h.n:
-            raise ValueError(f"vertex {v} out of range 1..{h.n}")
-    stripped = x - n_sub
-    edges = [e - stripped for e in h.edges if not e & n_sub]
-    return Hypergraph(h.n, edges)
+    keep = ~h._vertex_mask(x)  # the kept edges miss n_sub, so stripping x strips x - n_sub
+    nm = mask_of(n_sub)
+    return Hypergraph._from_masks(h.n, (e & keep for e in h.edge_masks() if not e & nm))
 
 
 def find_split(h: Hypergraph, alpha: float = DEFAULT_ALPHA) -> frozenset[int] | None:

@@ -5,12 +5,13 @@ collapse, and every edge is kept in ascending vertex order, with edges
 ordered lexicographically (the canonical edge order used for tie-breaking
 everywhere else in the package).
 
-Each hypergraph caches two mask views, built on first use: one bitmask
-per edge over vertex ids, and one incidence row per vertex over edge
-indices. The rows make the minimality check cost O(|S|) big-int
-operations instead of a pass over the edges. An `Instance` holds the
-working state as masks, and `Instance.branch` builds a child that
-selects and discards several vertices in one pass over its edges.
+A hypergraph stores only its edge masks (bit v for vertex v), in the
+canonical order `bitsets.edge_key`; `edges` derives the vertex sets. An
+incidence row per vertex over edge indices is built on first use, so
+the minimality check costs O(|S|) big-int operations instead of a pass
+over the edges. An `Instance` holds the working state as masks, and
+`Instance.branch` builds a child that selects and discards several
+vertices in one pass over its edges.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from typing import Any
 
-from .bitsets import mask_of, set_of
+from .bitsets import edge_key, iter_bits, mask_of, set_of
 from .errors import ParseError, SearchInvariantError
 
 #: Consumer invoked exactly once per enumerated minimal transversal.
@@ -32,40 +33,46 @@ class Hypergraph:
     Values are safe to share between concurrent enumeration runs.
     """
 
-    __slots__ = ("n", "edges", "_masks", "_inc")
+    __slots__ = ("n", "_masks", "_inc")
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]] = ()) -> None:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        canon = {frozenset(int(v) for v in e) for e in edges}
-        for e in canon:
-            for v in e:
-                if not 1 <= v <= n:
-                    raise ValueError(f"vertex {v} out of range 1..{n}")
         self.n = n
-        self.edges: tuple[frozenset[int], ...] = tuple(sorted(canon, key=sorted))
-        self._masks: tuple[int, ...] | None = None
+        masks = {self._vertex_mask(map(int, e)) for e in edges}
+        self._masks: tuple[int, ...] = tuple(sorted(masks, key=edge_key))
         self._inc: tuple[int, ...] | None = None
+
+    @classmethod
+    def _from_masks(cls, n: int, masks: Iterable[int]) -> Hypergraph:
+        """A hypergraph from edge masks that the caller has range-checked."""
+        h = cls(n)
+        h._masks = tuple(sorted(set(masks), key=edge_key))
+        return h
+
+    @property
+    def edges(self) -> tuple[frozenset[int], ...]:
+        """The edges as vertex sets, in the canonical order."""
+        return tuple(map(set_of, self._masks))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypergraph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.n == other.n and self._masks == other._masks
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self._masks))
 
     def __repr__(self) -> str:
-        shown = [sorted(e) for e in self.edges]
+        shown = [list(iter_bits(e)) for e in self._masks]
         return f"Hypergraph({self.n}, {shown})"
 
     def rank(self) -> int:
         """Maximum edge cardinality (0 when there are no edges)."""
-        return max((len(e) for e in self.edges), default=0)
+        return max((e.bit_count() for e in self._masks), default=0)
 
     def edge_masks(self) -> tuple[int, ...]:
-        if self._masks is None:
-            self._masks = tuple(mask_of(e) for e in self.edges)
+        """The stored edge masks, in the canonical order."""
         return self._masks
 
     def _vertex_mask(self, vertices: Iterable[int]) -> int:
@@ -84,10 +91,9 @@ class Hypergraph:
         """inc[v] has bit i set iff edge i contains v (inc[0] is unused)."""
         if self._inc is None:
             inc = [0] * (self.n + 1)
-            for i, e in enumerate(self.edges):
-                bit = 1 << i
-                for v in e:
-                    inc[v] |= bit
+            for i, e in enumerate(self._masks):
+                for v in iter_bits(e):
+                    inc[v] |= 1 << i
             self._inc = tuple(inc)
         return self._inc
 
@@ -117,7 +123,7 @@ class Hypergraph:
             twice |= once & row
             once |= row
             rows.append(row)
-        if once != (1 << len(self.edges)) - 1:
+        if once != (1 << len(self._masks)) - 1:
             return False
         for row in rows:
             if not row & ~twice:
@@ -351,7 +357,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
     """
     n = m = 0
     header_seen = False
-    edges: list[frozenset[int]] = []
+    masks: list[int] = []
     last_line = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
         last_line = lineno
@@ -372,8 +378,8 @@ def parse_hypergraph(text: str) -> Hypergraph:
                 raise ParseError("vertex and edge counts must be non-negative", lineno)
             header_seen = True
             continue
-        if len(edges) < m:
-            verts = []
+        if len(masks) < m:
+            em = 0
             for tok in raw.split():
                 try:
                     v = int(tok)
@@ -381,21 +387,21 @@ def parse_hypergraph(text: str) -> Hypergraph:
                     raise ParseError(f"non-integer token {tok!r}", lineno) from None
                 if not 1 <= v <= n:
                     raise ParseError(f"vertex {v} out of range 1..{n}", lineno)
-                verts.append(v)
-            edges.append(frozenset(verts))
+                em |= 1 << v
+            masks.append(em)
         elif stripped:
             raise ParseError("unexpected content after the last edge", lineno)
     if not header_seen:
         raise ParseError("missing 'p hg <n> <m>' header")
-    if len(edges) < m:
-        raise ParseError(f"expected {m} edge lines, found {len(edges)}", last_line)
-    return Hypergraph(n, edges)
+    if len(masks) < m:
+        raise ParseError(f"expected {m} edge lines, found {len(masks)}", last_line)
+    return Hypergraph._from_masks(n, masks)
 
 
 def serialize_hypergraph(h: Hypergraph) -> str:
     """Render in the text format accepted by parse_hypergraph."""
-    lines = [f"p hg {h.n} {len(h.edges)}"]
-    lines.extend(" ".join(map(str, sorted(e))) for e in h.edges)
+    lines = [f"p hg {h.n} {len(h._masks)}"]
+    lines.extend(" ".join(map(str, iter_bits(e))) for e in h._masks)
     return "\n".join(lines) + "\n"
 
 

@@ -275,22 +275,23 @@ def enumerate_rank3(
     """
     if h.rank() > 3:
         raise UnsupportedInstanceError(f"rank {h.rank()} input; this engine handles rank <= 3")
-    mweights = None
-    if check_measure:  # the analysis toolbox loads only for this check
-        from .analysis import DEFAULT_WEIGHTS, mask_measure
+    root = Instance(h)
+    if not check_measure:
+        return search(root, lambda inst, _: [(c, None) for c in apply_rule(inst, next_rule(inst))], h, sink)
+    from .analysis import DEFAULT_WEIGHTS, mask_measure  # the toolbox loads only for this check
 
-        mweights = weights or DEFAULT_WEIGHTS
+    mweights = weights or DEFAULT_WEIGHTS
 
-    def branch(inst: Instance, _: None) -> list[tuple[Instance, None]]:
+    def scaled(inst: Instance) -> float:
+        return 2.0 ** mask_measure(inst.vmask, inst.emasks, mweights)
+
+    # Each state carries its own 2**mu, computed once when it is built.
+    def branch(inst: Instance, parent: float) -> list[tuple[Instance, float]]:
         rule = next_rule(inst)
-        children = apply_rule(inst, rule)
-        if mweights is not None:
-            parent = 2.0 ** mask_measure(inst.vmask, inst.emasks, mweights)
-            total = sum(2.0 ** mask_measure(c.vmask, c.emasks, mweights) for c in children)
-            if total > parent + MEASURE_TOLERANCE:
-                raise SearchInvariantError(
-                    f"measure inequality violated at {rule.tag}: {total!r} > {parent!r}"
-                )
-        return [(child, None) for child in children]
+        children = [(c, scaled(c)) for c in apply_rule(inst, rule)]
+        total = sum(value for _, value in children)
+        if total > parent + MEASURE_TOLERANCE:
+            raise SearchInvariantError(f"measure inequality violated at {rule.tag}: {total!r} > {parent!r}")
+        return children
 
-    return search(Instance(h), branch, h, sink)
+    return search(root, branch, h, sink, scaled(root))

@@ -97,7 +97,7 @@ class _EdgeKeys(dict):
 
 def _choose_b2(
     edges: frozenset[int], key: Callable[[int], tuple[int, ...]] = edge_key
-) -> B2Choice:
+) -> tuple[int, int, tuple[int, ...]]:
     min_size = min(e.bit_count() for e in edges)
     e = min((x for x in edges if x.bit_count() == min_size), key=key)
     partners = [f for f in edges if f != e and f & e]
@@ -106,7 +106,7 @@ def _choose_b2(
     best = max((f & e).bit_count() for f in partners)
     e_prime = min((f for f in partners if (f & e).bit_count() == best), key=key)
     ordering = (*iter_bits(e & e_prime), *iter_bits(e & ~e_prime))
-    return B2Choice(set_of(e), set_of(e_prime), ordering)
+    return e, e_prime, ordering
 
 
 def choose_b2(inst: Instance) -> B2Choice:
@@ -123,14 +123,15 @@ def choose_b2(inst: Instance) -> B2Choice:
         raise ValueError("no edges; the halting rule applies")
     if 0 in edges:
         raise ValueError("empty edge; the backtracking rule applies")
-    return _choose_b2(edges)
+    e, e_prime, ordering = _choose_b2(edges)
+    return B2Choice(set_of(e), set_of(e_prime), ordering)
 
 
 def enumerate_rankk(h: Hypergraph, sink: TransversalSink) -> SearchStats:
     """Invoke sink once per minimal transversal of h; accepts any rank."""
     root = Instance(h)
     subsumed = _subsumed(root.emasks)
-    leaf_graph = Hypergraph(h.n, (set_of(e) for e in root.emasks - subsumed))
+    leaf_graph = Hypergraph._from_masks(h.n, root.emasks - subsumed)
     return search(root, _branch_step(), leaf_graph, sink, subsumed)
 
 
@@ -167,7 +168,7 @@ def _branch_step() -> BranchStep:
             else:  # B2: child i selects v_i and discards v_1..v_{i-1}
                 children = []
                 dis = 0
-                for v in _choose_b2(edges, key).ordering:
+                for v in _choose_b2(edges, key)[2]:
                     vb = 1 << v
                     children.append(inst.branch(vb, dis))
                     dis |= vb

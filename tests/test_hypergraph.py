@@ -82,6 +82,37 @@ class TestHypergraph:
             Hypergraph(2, [{0}])
 
 
+def mask_constructor_cases():
+    return instance_deck(60, kmin=1, kmax=6) + [
+        Hypergraph(0, []),
+        Hypergraph(0, [set()]),
+        Hypergraph(6, []),
+        Hypergraph(7, [{2, 1}, {1, 2}, set(), {5}, {1, 2, 5}, set()]),
+        tv.gen_lower_bound(3, 12),
+    ]
+
+
+class TestFromMasks:
+    @pytest.mark.parametrize("h", mask_constructor_cases())
+    def test_equals_public_constructor(self, h):
+        # Reversed and repeated masks: the constructor dedupes and sorts.
+        built = Hypergraph._from_masks(h.n, list(reversed(h.edge_masks())) * 2)
+        public = Hypergraph(h.n, h.edges)
+        assert built == public and hash(built) == hash(public)
+        assert built.edges == public.edges == h.edges
+        assert built.edge_masks() == public.edge_masks()
+        assert built.rank() == public.rank()
+        assert repr(built) == repr(public)
+        assert serialize_hypergraph(built) == serialize_hypergraph(public)
+        assert parse_hypergraph(serialize_hypergraph(h)) == h
+
+    def test_ranks_and_empty_edges_covered(self):
+        cases = mask_constructor_cases()
+        assert {h.rank() for h in cases} >= set(range(7))
+        assert any(frozenset() in h.edges for h in cases)
+        assert any(set().union(*h.edges) != set(range(1, h.n + 1)) for h in cases)
+
+
 class TestMinimality:
     def test_examples(self):
         h = Hypergraph(3, [{1, 2}, {2, 3}])

@@ -253,6 +253,28 @@ class TestMeasureSoundness:
             )
 
 
+    def test_violation_message(self):
+        zeros = tv.Weights((0.0,) * 7, (0.0,) * 7)
+        with pytest.raises(tv.SearchInvariantError) as caught:
+            enumerate_rank3(Hypergraph(3, [{1, 2, 3}]), lambda t: None, check_measure=True, weights=zeros)
+        assert str(caught.value) == "measure inequality violated at R2_2: 3.0 > 1.0"
+
+    def test_measure_evaluated_once_per_node(self, monkeypatch):
+        from transversals import analysis
+
+        calls = 0
+        measure = analysis.mask_measure
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return measure(*args)
+
+        monkeypatch.setattr(analysis, "mask_measure", counted)
+        stats = enumerate_rank3(tv.gen_lower_bound(3, 15), lambda t: None, check_measure=True)
+        assert calls == stats.nodes
+
+
 def shift(edges, offset):
     return [{v + offset for v in e} for e in edges]
 

@@ -78,6 +78,15 @@ class TestEnumerate:
         for h in instance_deck(150):
             assert run(enumerate_rankk, h) == oracle(h)
 
+    def test_search_builds_no_b2_record(self, monkeypatch):
+        # B2Choice is for inspection through choose_b2; the engine reads masks.
+        def refuse(*args):
+            raise AssertionError("B2Choice built during a search")
+
+        monkeypatch.setattr(rankk, "B2Choice", refuse)
+        for h in instance_deck(40):
+            assert run(enumerate_rankk, h) == oracle(h)
+
     def test_large_uniform_block(self):
         # all C(9,5) = 126 5-subsets of a 9-set; every 5-subset is minimal
         h5 = tv.gen_lower_bound(5, 9)
