@@ -1,6 +1,6 @@
 """Bitmask helpers. Vertex id v maps to bit v; bit 0 is unused."""
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -20,6 +20,11 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 def set_of(mask: int) -> frozenset[int]:
     return frozenset(iter_bits(mask))
+
+
+def set_sink(sink: Callable[[frozenset[int]], None]) -> Callable[[int], None]:
+    """A sink of masks that hands sink each mask as a frozenset."""
+    return lambda m: sink(set_of(m))
 
 
 def edge_key(mask: int) -> tuple[int, ...]:

@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 failed measure verification, 2 input parse or
 usage failure, 3 algorithm/input mismatch, 4 internal invariant breach.
 
 The enumeration commands import only the engines; the analysis toolbox
-and the instance generators load inside the commands that use them.
+and the instance generators load inside the commands that use them. The
+engines hand each transversal over as a vertex mask (bit v for vertex
+v); lines are formatted from its bits and sizes are bit counts.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import sys
 import time
 
+from .bitsets import edge_key, mask_of
 from .compression import DEFAULT_ALPHA, CompressionConfig, enumerate_compression
 from .errors import ParseError, SearchInvariantError, UnsupportedInstanceError
 from .hypergraph import Hypergraph, SearchStats, parse_hypergraph, serialize_hypergraph
@@ -85,21 +88,21 @@ def _pick_algorithm(name: str, h: Hypergraph) -> str:
 
 def _run_engine(name: str, h: Hypergraph, config: CompressionConfig, sink) -> SearchStats:
     if name == "rank3":
-        return enumerate_rank3(h, sink)
+        return enumerate_rank3(h, sink, masks=True)
     if name == "rankk":
-        return enumerate_rankk(h, sink)
+        return enumerate_rankk(h, sink, masks=True)
     if name == "compression":
         if h.rank() > 4:
             raise UnsupportedInstanceError(
                 f"rank {h.rank()} input; compression with the default inner engine handles rank <= 4"
             )
-        return enumerate_compression(h, sink, config)
+        return enumerate_compression(h, sink, config, masks=True)
     if name == "oracle":
         from .instances import brute_force_enumerate
 
         found = brute_force_enumerate(h)
         for t in found:
-            sink(t)
+            sink(mask_of(t))
         scanned = 1 << h.n
         return SearchStats(nodes=scanned, leaves=scanned, max_depth=0, outputs=len(found))
     raise ValueError(f"unknown algorithm {name!r}")
@@ -113,39 +116,45 @@ def _cmd_enumeration(args: argparse.Namespace) -> int:
     out = sys.stdout
     labels = [str(v) for v in range(h.n + 1)]
 
-    def line(vertices) -> str:
-        return " ".join([labels[v] for v in vertices]) + "\n"
+    def line(mask: int) -> str:
+        words = []
+        while mask:  # lowest bit first, so ascending; inline, as a generator costs more per line
+            low = mask & -mask
+            words.append(labels[low.bit_length() - 1])
+            mask ^= low
+        return " ".join(words) + "\n"
 
     if args.command == "enumerate":
         if getattr(args, "canonical", False):
-            collected: list[tuple[int, ...]] = []
-            stats = _run_engine(algorithm, h, config, lambda t: collected.append(tuple(sorted(t))))
-            for row in sorted(collected):
-                out.write(line(row))
+            collected: list[int] = []
+            stats = _run_engine(algorithm, h, config, collected.append)
+            for mask in sorted(collected, key=edge_key):  # ascending vertex lists
+                out.write(line(mask))
         else:
-            stats = _run_engine(algorithm, h, config, lambda t: out.write(line(sorted(t))))
+            stats = _run_engine(algorithm, h, config, lambda m: out.write(line(m)))
     elif args.command == "count":
-        stats = _run_engine(algorithm, h, config, lambda t: None)
+        stats = _run_engine(algorithm, h, config, lambda m: None)
         out.write(f"{stats.outputs}\n")
     elif args.command in ("minimum", "count-minimum"):
-        best: frozenset[int] | None = None  # the first transversal of minimum size
-        ties = 0  # transversals of its size
+        best: int | None = None  # the first transversal of minimum size
+        size, ties = h.n + 1, 0  # its size (n + 1 before any), and how many have it
 
-        def tally(t: frozenset[int]) -> None:
-            nonlocal best, ties
-            if best is None or len(t) < len(best):
-                best, ties = t, 1
-            elif len(t) == len(best):
+        def tally(m: int) -> None:
+            nonlocal best, size, ties
+            c = m.bit_count()
+            if c < size:
+                best, size, ties = m, c, 1
+            elif c == size:
                 ties += 1
 
         stats = _run_engine(algorithm, h, config, tally)
         if args.command == "count-minimum":
             out.write(f"{ties}\n")
         elif best is not None:
-            out.write(line(sorted(best)))
+            out.write(line(best))
     else:  # bench
         started = time.perf_counter()
-        stats = _run_engine(algorithm, h, config, lambda t: None)
+        stats = _run_engine(algorithm, h, config, lambda m: None)
         elapsed = time.perf_counter() - started
         out.write(
             f"algorithm={algorithm} n={h.n} edges={len(h.edge_masks())} rank={h.rank()} "

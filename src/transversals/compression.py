@@ -32,17 +32,19 @@ projected edge misses N and the rest of Y. So the set is minimal iff
 every member of N has an edge that no other member of N and no member
 of Y hits. Each N's private edges come from the incidence rows of its
 members and each Y's hit edges are recorded with Y, so a check is a few
-bit operations, and N becomes a frozenset only when something is
-emitted or an inner run needs its projection.
+bit operations. X, N and each Y stay masks (the default inner engine
+emits masks); N's vertex mask is built from the counter only when
+something is emitted or an inner run needs its projection.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
+from functools import partial
 from itertools import combinations
 
-from .bitsets import iter_bits, mask_of
+from .bitsets import iter_bits, mask_of, set_sink
 from .hypergraph import Hypergraph, SearchStats, TransversalSink, _FrozenRecord
 from .rank3 import enumerate_rank3
 from .rankk import enumerate_rankk
@@ -53,7 +55,8 @@ DEFAULT_ALPHA = 0.66938
 #: An engine run on each distinct projection. It must give the same outputs,
 #: in the same order, and the same stats for equal hypergraphs, and emit only
 #: minimal transversals of the hypergraph it is given: the final filter
-#: takes each output Y's own minimality for granted and checks only N.
+#: takes each output Y's own minimality for granted and checks only N. It
+#: hands its sink frozensets; the filter turns each into a mask once.
 InnerEngine = Callable[[Hypergraph, TransversalSink], SearchStats]
 
 
@@ -76,38 +79,49 @@ class CompressionConfig(_FrozenRecord):
         object.__setattr__(self, "inner_engine", inner_engine)
 
 
-def project(h: Hypergraph, x: frozenset[int], n_sub: frozenset[int]) -> Hypergraph:
+def project(h: Hypergraph, x: Iterable[int] | int, n_sub: Iterable[int] | int) -> Hypergraph:
     """Drop edges hit by n_sub, strip x-minus-n_sub from the rest.
 
-    The result keeps the vertex universe 1..n; the vertices of x simply end
+    x and n_sub are vertex sets or their masks (bit v for vertex v). The
+    result keeps the vertex universe 1..n; the vertices of x simply end
     up isolated, which no minimal transversal ever uses. When x is a
     transversal the projected rank drops by at least one.
     """
-    x = frozenset(x)
-    n_sub = frozenset(n_sub)
-    if not n_sub <= x:
+    xm = x if isinstance(x, int) else mask_of(x)
+    nm = n_sub if isinstance(n_sub, int) else mask_of(n_sub)
+    if nm & ~xm:
         raise ValueError("N must be a subset of X")
-    keep = ~h._vertex_mask(x)  # the kept edges miss n_sub, so stripping x strips x - n_sub
-    nm = mask_of(n_sub)
+    h._check_mask(xm)
+    keep = ~xm  # the kept edges miss n_sub, so stripping x strips x - n_sub
     return Hypergraph._from_masks(h.n, (e & keep for e in h.edge_masks() if not e & nm))
+
+
+def _first_split(h: Hypergraph, size: int) -> tuple[tuple[int, ...] | None, int]:
+    """The first transversal of `size` vertices in lexicographic order (or None), and the subsets scanned."""
+    scanned = 0
+    for xs in combinations(range(1, h.n + 1), size):
+        scanned += 1
+        if h.is_transversal(xs):
+            return xs, scanned
+    return None, scanned
 
 
 def find_split(h: Hypergraph, alpha: float = DEFAULT_ALPHA) -> frozenset[int] | None:
     """First transversal of size exactly floor(alpha*n) in lexicographic order."""
-    size = math.floor(alpha * h.n)
-    for xs in combinations(range(1, h.n + 1), size):
-        if h.is_transversal(xs):
-            return frozenset(xs)
-    return None
+    xs = _first_split(h, math.floor(alpha * h.n))[0]
+    return None if xs is None else frozenset(xs)
 
 
 def enumerate_compression(
     h: Hypergraph,
     sink: TransversalSink,
     config: CompressionConfig | None = None,
+    *,
+    masks: bool = False,
 ) -> SearchStats:
     """Invoke sink once per minimal transversal of h.
 
+    sink gets a frozenset, or with `masks` the vertex mask (bit v for v).
     Stats: nodes counts phase-1 subsets scanned plus inner-engine nodes;
     leaves aggregates inner leaves, or counts the scanned subsets when the
     run never leaves phase 1 (each subset check halts there); outputs
@@ -115,79 +129,76 @@ def enumerate_compression(
     not, so they describe one inner run per subset of X.
     """
     cfg = config or CompressionConfig()
+    sink = sink if masks else set_sink(sink)
     stats = SearchStats()
     size = math.floor(cfg.alpha * h.n)
+    anchor, stats.nodes = _first_split(h, size)
 
-    x: frozenset[int] | None = None
-    for xs in combinations(range(1, h.n + 1), size):
-        stats.nodes += 1
-        if h.is_transversal(xs):
-            x = frozenset(xs)
-            break
-
-    if x is None:
+    if anchor is None:
         # Minimum transversal size exceeds `size`: every minimal transversal
         # sits in the scanned range.
+        bits = [1 << v for v in range(1, h.n + 1)]
         for s in range(h.n, size - 1, -1):
-            for xs in combinations(range(1, h.n + 1), s):
+            for picked in combinations(bits, s):
                 stats.nodes += 1
                 stats.leaves += 1
-                if h.is_minimal_transversal(xs):
-                    sink(frozenset(xs))
+                sm = sum(picked)  # their union, as the bits are distinct
+                if h.is_minimal_transversal(sm):
+                    sink(sm)
                     stats.outputs += 1
         return stats
 
     inner = cfg.inner_engine
+    to_mask = inner is not None  # an InnerEngine hands its sink frozensets
     if inner is None:
-        inner = enumerate_rank3 if h.rank() <= 4 else enumerate_rankk
+        inner = partial(enumerate_rank3 if h.rank() <= 4 else enumerate_rankk, masks=True)
 
     # N is an anchor-local counter: bit j stands for anchor[j]. Its key,
     # equal for exactly the N with equal projections, comes from one table.
-    anchor = sorted(x)
     full = (1 << len(anchor)) - 1
+    xm = mask_of(anchor)
     keys = _key_table(h.edge_masks(), anchor)
     inc = h._incidence()
     rows = [inc[v] for v in anchor]
-    # Per distinct key: the inner outputs Y, each with the edges it hits.
-    memo: dict[int, tuple[list[tuple[frozenset[int], int]], SearchStats]] = {}
-
-    def members(counter: int) -> frozenset[int]:
-        return frozenset(v for j, v in enumerate(anchor) if counter >> j & 1)
+    # Per distinct key: the inner outputs Y as masks, each with the edges it hits.
+    memo: dict[int, tuple[list[tuple[int, int]], SearchStats]] = {}
 
     for counter in range(full + 1):
         key = keys[full ^ counter]
         hit = memo.get(key)
         if hit is None:
-            n_sub = members(counter)
+            n_mask = mask_of(anchor[j] for j in iter_bits(counter))
             privs = _private_edges(rows, counter)
-            ys: list[tuple[frozenset[int], int]] = []
+            ys: list[tuple[int, int]] = []
 
             def record(
-                y: frozenset[int],
-                chosen: frozenset[int] = n_sub,
+                y: int | frozenset[int],
+                chosen: int = n_mask,
                 privs: list[int] | None = privs,
                 ys: list = ys,
             ) -> None:
+                if to_mask:
+                    y = mask_of(y)
                 once_y = 0
-                for v in y:
+                for v in iter_bits(y):
                     once_y |= inc[v]
                 ys.append((y, once_y))
                 if privs is not None and _keeps_minimal(privs, once_y):
                     sink(chosen | y)
                     stats.outputs += 1
 
-            inner_stats = inner(project(h, x, n_sub), record)
+            inner_stats = inner(project(h, xm, n_mask), record)
             memo[key] = ys, inner_stats
         else:
             ys, inner_stats = hit
             privs = _private_edges(rows, counter) if ys else None
             if privs is not None:
-                chosen = None
+                n_mask = None
                 for y, once_y in ys:
                     if _keeps_minimal(privs, once_y):
-                        if chosen is None:
-                            chosen = members(counter)
-                        sink(chosen | y)
+                        if n_mask is None:
+                            n_mask = mask_of(anchor[j] for j in iter_bits(counter))
+                        sink(n_mask | y)
                         stats.outputs += 1
         stats.nodes += inner_stats.nodes
         stats.leaves += inner_stats.leaves
@@ -195,7 +206,7 @@ def enumerate_compression(
     return stats
 
 
-def _key_table(edge_masks: Iterable[int], anchor: list[int]) -> list[int]:
+def _key_table(edge_masks: Iterable[int], anchor: Sequence[int]) -> list[int]:
     """keys[S]: a bitmap over the distinct outside-X parts of the edges whose
     inside-X part lies in S, an anchor-local set (bit j for anchor[j]).
 

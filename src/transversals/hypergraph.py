@@ -11,7 +11,9 @@ incidence row per vertex over edge indices is built on first use, so
 the minimality check costs O(|S|) big-int operations instead of a pass
 over the edges. An `Instance` holds the working state as masks, and
 `Instance.branch` builds a child that selects and discards several
-vertices in one pass over its edges.
+vertices in one pass over its edges. The search kernel hands each leaf's
+partial set to the minimality check and to its sink as a mask; the
+engines turn it into a frozenset only for a caller that asks for one.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from .errors import ParseError, SearchInvariantError
 
 #: Consumer invoked exactly once per enumerated minimal transversal.
 TransversalSink = Callable[[frozenset[int]], None]
+#: The same, handed each transversal as its vertex mask.
+MaskSink = Callable[[int], None]
 
 
 class Hypergraph:
@@ -83,6 +87,12 @@ class Hypergraph:
             m |= 1 << v
         return m
 
+    def _check_mask(self, m: int) -> None:
+        """Raise ValueError unless m is the mask of a vertex set on 1..n (a negative m has bits above n)."""
+        if m & 1 or m >> (self.n + 1):
+            bad = m & ~((1 << (self.n + 1)) - 2)
+            raise ValueError(f"vertex {(bad & -bad).bit_length() - 1} out of range 1..{self.n}")
+
     def is_transversal(self, s: Iterable[int]) -> bool:
         sm = self._vertex_mask(s)
         return all(e & sm for e in self.edge_masks())
@@ -97,32 +107,32 @@ class Hypergraph:
             self._inc = tuple(inc)
         return self._inc
 
-    def is_minimal_transversal(self, s: Iterable[int]) -> bool:
+    def is_minimal_transversal(self, s: Iterable[int] | int) -> bool:
         """True iff s hits every edge and every member of s has a private edge.
 
-        A private edge of v is an edge whose only vertex in s is v. The
-        private-edge criterion is equivalent to "no proper subset of s is a
-        transversal". s is read once, repeats ignored, and each distinct
-        member's incidence row is folded into the edges hit once or more
-        (`once`) and twice or more (`twice`): s is a transversal iff
-        `once` holds every edge, and v has a private edge iff its row
-        leaves `twice`. That is O(|s|) operations on m-bit ints.
+        s is a vertex set (repeats ignored) or its mask, an int with bit v
+        for vertex v. A private edge of v is an edge whose only vertex in s
+        is v. The private-edge criterion is equivalent to "no proper subset
+        of s is a transversal". Each member's incidence row is folded into
+        the edges hit once or more (`once`) and twice or more (`twice`): s
+        is a transversal iff `once` holds every edge, and v has a private
+        edge iff its row leaves `twice`. That is O(|s|) operations on m-bit
+        ints.
         """
+        if not isinstance(s, int):
+            s = self._vertex_mask(s)
+        elif s & 1 or s >> (self.n + 1):  # the test of _check_mask, inline on this hot path
+            self._check_mask(s)
         inc = self._incidence()
-        n = self.n
-        seen = once = twice = 0
+        once = twice = 0
         rows = []
-        for v in s:
-            if not 1 <= v <= n:
-                raise ValueError(f"vertex {v} out of range 1..{n}")
-            vb = 1 << v
-            if seen & vb:
-                continue
-            seen |= vb
-            row = inc[v]
+        while s:
+            low = s & -s
+            row = inc[low.bit_length() - 1]
             twice |= once & row
             once |= row
             rows.append(row)
+            s ^= low
         if once != (1 << len(self._masks)) - 1:
             return False
         for row in rows:
@@ -307,18 +317,19 @@ def search(
     root: Instance,
     branch: BranchStep,
     leaf_graph: Hypergraph,
-    sink: TransversalSink,
+    sink: MaskSink,
     carry: Any = None,
 ) -> SearchStats:
     """Depth-first branch-and-reduce search from root, on an explicit stack.
 
     A state without working edges is a leaf; its partial set goes to sink
-    if it is a minimal transversal of leaf_graph, which must have the
-    same minimal transversals as root's input. A state with an empty edge
-    is a leaf that emits nothing. Every other state is expanded by branch,
-    and each child must shrink |V| + |E|, which bounds the depth. Children
-    are visited in branch order, so the visit and emission order is the
-    preorder of the tree. `carry` is the value that goes with root.
+    as a mask (`smask`, never a frozenset) if it is a minimal transversal
+    of leaf_graph, which must have the same minimal transversals as root's
+    input. A state with an empty edge is a leaf that emits nothing. Every
+    other state is expanded by branch, and each child must shrink
+    |V| + |E|, which bounds the depth. Children are visited in branch
+    order, so the visit and emission order is the preorder of the tree.
+    `carry` is the value that goes with root.
     """
     stats = SearchStats()
     stack = [(root, carry, 0)]
@@ -331,7 +342,7 @@ def search(
         edges = inst.emasks
         if not edges:
             stats.leaves += 1
-            s = inst.partial
+            s = inst.smask
             if leaf_graph.is_minimal_transversal(s):
                 sink(s)
                 stats.outputs += 1

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .bitsets import edge_key, set_of
+from .bitsets import edge_key, set_of, set_sink
 from .errors import SearchInvariantError, UnsupportedInstanceError
 from .hypergraph import Hypergraph, Instance, SearchStats, TransversalSink, search
 
@@ -266,15 +266,18 @@ def enumerate_rank3(
     *,
     check_measure: bool = False,
     weights: Weights | None = None,
+    masks: bool = False,
 ) -> SearchStats:
     """Invoke sink once per minimal transversal of h, in deterministic DFS order.
 
+    sink gets a frozenset, or with `masks` the vertex mask (bit v for v).
     check_measure validates, at every node with children, that the weighted
     measures satisfy sum_i 2**mu(child_i) <= 2**mu(parent) + tolerance,
     using `weights` (default: the verified table).
     """
     if h.rank() > 3:
         raise UnsupportedInstanceError(f"rank {h.rank()} input; this engine handles rank <= 3")
+    sink = sink if masks else set_sink(sink)
     root = Instance(h)
     if not check_measure:
         return search(root, lambda inst, _: [(c, None) for c in apply_rule(inst, next_rule(inst))], h, sink)

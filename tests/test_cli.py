@@ -34,6 +34,23 @@ def triangle_file(tmp_path):
 
 
 class TestEnumerate:
+    @pytest.mark.parametrize("algorithm", ["auto", "rank3", "rankk", "compression"])
+    def test_no_leaf_builds_a_frozenset(self, tmp_path, monkeypatch, algorithm):
+        # The CLI formats, counts and tallies straight from the engines' masks.
+        path = tmp_path / "lb3.hg"
+        path.write_text(serialize_hypergraph(tv.gen_lower_bound(3, 10)))
+        commands = [["enumerate"], ["enumerate", "--canonical"], ["count"], ["minimum"], ["count-minimum"]]
+        runs = [[*cmd, str(path), "--algorithm", algorithm] for cmd in commands]
+        want = [run_cli(args) for args in runs]
+
+        def partial(inst):
+            raise AssertionError("a leaf built its partial set")
+
+        monkeypatch.setattr(tv.Instance, "partial", property(partial))
+        for args, expected in zip(runs, want):
+            assert run_cli(args) == expected
+            assert expected[0] == 0 and expected[1]
+
     def test_canonical_golden(self, triangle_file):
         code, out, _ = run_cli(["enumerate", "--canonical", triangle_file])
         assert code == 0

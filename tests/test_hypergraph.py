@@ -4,6 +4,7 @@ import pytest
 
 import transversals as tv
 from transversals import Hypergraph, Instance, ParseError, parse_hypergraph, serialize_hypergraph
+from transversals.bitsets import set_of
 
 from helpers import instance_deck, minimal_by_definition
 
@@ -180,6 +181,22 @@ class TestIncidenceMinimality:
     def test_out_of_range_message(self, v):
         with pytest.raises(ValueError, match=rf"^vertex {v} out of range 1\.\.3$"):
             TRIANGLE.is_minimal_transversal([1, v])
+
+    @pytest.mark.parametrize("h", [h for h in minimality_cases() if h.n <= 10])
+    def test_mask_agrees_with_vertex_set(self, h):
+        for m in range(0, 1 << (h.n + 1), 2):
+            assert h.is_minimal_transversal(m) == h.is_minimal_transversal(set_of(m))
+
+    def test_mask_cases_cover_ranks_empty_edge_and_isolated_vertices(self):
+        cases = [h for h in minimality_cases() if h.n <= 10]
+        assert {h.rank() for h in cases} >= set(range(1, 7))
+        assert any(frozenset() in h.edges for h in cases)
+        assert any(set().union(*h.edges) != set(range(1, h.n + 1)) for h in cases)
+
+    @pytest.mark.parametrize("m", [0b1, 0b11, 1 << 4, 0b10 | 1 << 9, -1, -2, -(1 << 3)])
+    def test_mask_out_of_range_rejected(self, m):
+        with pytest.raises(ValueError, match=r"out of range 1\.\.3$"):
+            TRIANGLE.is_minimal_transversal(m)
 
     def test_incidence_built_once_and_outside_equality(self):
         h = Hypergraph(3, [{1, 2}, {1, 3}, {2, 3}])
