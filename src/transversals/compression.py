@@ -99,10 +99,11 @@ def project(h: Hypergraph, x: Iterable[int] | int, n_sub: Iterable[int] | int) -
 def _first_split(h: Hypergraph, size: int) -> tuple[tuple[int, ...] | None, int]:
     """The first transversal of `size` vertices in lexicographic order (or None), and the subsets scanned."""
     scanned = 0
-    for xs in combinations(range(1, h.n + 1), size):
+    for picked in combinations([1 << v for v in range(1, h.n + 1)], size):
         scanned += 1
-        if h.is_transversal(xs):
-            return xs, scanned
+        sm = sum(picked)  # their union, as the bits are distinct
+        if h.is_transversal(sm):
+            return tuple(iter_bits(sm)), scanned
     return None, scanned
 
 

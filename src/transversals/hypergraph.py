@@ -14,6 +14,8 @@ over the edges. An `Instance` holds the working state as masks, and
 vertices in one pass over its edges. The search kernel hands each leaf's
 partial set to the minimality check and to its sink as a mask; the
 engines turn it into a frozenset only for a caller that asks for one.
+As the branching rules never read the partial set, the kernel expands
+each distinct working state once per run and replays its children.
 """
 
 from __future__ import annotations
@@ -93,9 +95,13 @@ class Hypergraph:
             bad = m & ~((1 << (self.n + 1)) - 2)
             raise ValueError(f"vertex {(bad & -bad).bit_length() - 1} out of range 1..{self.n}")
 
-    def is_transversal(self, s: Iterable[int]) -> bool:
-        sm = self._vertex_mask(s)
-        return all(e & sm for e in self.edge_masks())
+    def is_transversal(self, s: Iterable[int] | int) -> bool:
+        """True iff s, a vertex set or its mask (bit v for vertex v), hits every edge."""
+        if isinstance(s, int):
+            self._check_mask(s)
+        else:
+            s = self._vertex_mask(s)
+        return all(e & s for e in self._masks)
 
     def _incidence(self) -> tuple[int, ...]:
         """inc[v] has bit i set iff edge i contains v (inc[0] is unused)."""
@@ -309,8 +315,17 @@ class SearchStats(_Record):
 
 #: An engine's branching rules: a state that has working edges, none of
 #: them empty, plus the value the engine carries with it -> the children
-#: in branch order, each with its own carried value.
+#: in branch order, each with its own carried value. Contract: these
+#: depend only on (vmask, emasks) and the carried value, itself a function
+#: of (vmask, emasks), never on smask: rank3's step never reads it, its
+#: measure check carries 2**mu(state), and rankk carries exactly the
+#: state's subsumed edges. A rule that reads the partial set, such as
+#: pruning by |S|, belongs in the walk, not in the step.
 BranchStep = Callable[[Instance, Any], list[tuple[Instance, Any]]]
+
+#: The most edge masks (the sum of len(emasks) over the stored states) in
+#: one run's memo; past it, new states are expanded but not stored.
+_MEMO_MASKS = 1 << 17
 
 
 def search(
@@ -323,26 +338,34 @@ def search(
     """Depth-first branch-and-reduce search from root, on an explicit stack.
 
     A state without working edges is a leaf; its partial set goes to sink
-    as a mask (`smask`, never a frozenset) if it is a minimal transversal
-    of leaf_graph, which must have the same minimal transversals as root's
+    as a mask (never a frozenset) if it is a minimal transversal of
+    leaf_graph, which must have the same minimal transversals as root's
     input. A state with an empty edge is a leaf that emits nothing. Every
     other state is expanded by branch, and each child must shrink
     |V| + |E|, which bounds the depth. Children are visited in branch
     order, so the visit and emission order is the preorder of the tree.
     `carry` is the value that goes with root.
+
+    By BranchStep's contract equal (vmask, emasks) have equal subtrees,
+    so each distinct state is expanded once (while the memo has room,
+    _MEMO_MASKS): its children are stored in push order with the vertices
+    each adds to S, and later visits replay them onto their own S. Every
+    visit and leaf is still counted, checked and emitted. A state that
+    reaches branch is first rebuilt with its true S.
     """
     stats = SearchStats()
-    stack = [(root, carry, 0)]
+    memo: dict[tuple[int, frozenset[int]], list[tuple[Instance, int, Any]]] = {}
+    room = _MEMO_MASKS
+    stack = [(root, root.smask, carry, 0)]
     pop, push = stack.pop, stack.append
     while stack:
-        inst, carry, depth = pop()
+        inst, s, carry, depth = pop()
         stats.nodes += 1
         if depth > stats.max_depth:
             stats.max_depth = depth
         edges = inst.emasks
         if not edges:
             stats.leaves += 1
-            s = inst.smask
             if leaf_graph.is_minimal_transversal(s):
                 sink(s)
                 stats.outputs += 1
@@ -350,12 +373,24 @@ def search(
         if 0 in edges:
             stats.leaves += 1
             continue
-        bound = inst.eta() - 1
         depth += 1
-        for child, value in reversed(branch(inst, carry)):
-            if child.eta() > bound:
-                raise SearchInvariantError(f"|V|+|E| did not decrease at {inst!r}")
-            push((child, value, depth))
+        key = (inst.vmask, edges)
+        children = memo.get(key)
+        if children is None:
+            if inst.smask != s:
+                inst = inst._spawn(inst.vmask, edges, s)
+            bound = inst.eta() - 1
+            children = []
+            for child, value in branch(inst, carry):
+                if child.eta() > bound:
+                    raise SearchInvariantError(f"|V|+|E| did not decrease at {inst!r}")
+                children.append((child, child.smask ^ s, value))
+            children.reverse()
+            if len(edges) <= room:
+                memo[key] = children
+                room -= len(edges)
+        for child, delta, value in children:
+            push((child, s | delta, value, depth))
     return stats
 
 

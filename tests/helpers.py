@@ -3,7 +3,17 @@
 import math
 from itertools import combinations
 
+import pytest
+
 import transversals as tv
+from transversals import hypergraph
+
+
+@pytest.fixture
+def no_memo(monkeypatch):
+    """Give the search kernel's memo no room, so every node is expanded by
+    the engine's branch step, as in a kernel without the memo."""
+    monkeypatch.setattr(hypergraph, "_MEMO_MASKS", 0)
 
 
 def canon(transversals):

@@ -16,7 +16,7 @@ from transversals import (
     find_split,
     project,
 )
-from transversals.compression import DEFAULT_ALPHA, _keeps_minimal, _key_table, _private_edges
+from transversals.compression import DEFAULT_ALPHA, _first_split, _keeps_minimal, _key_table, _private_edges
 
 from helpers import instance_deck, oracle, packed_blocks, run
 
@@ -73,6 +73,50 @@ class TestFindSplit:
     def test_none_when_minimum_exceeds_budget(self):
         k4 = Hypergraph(4, [{1, 2}, {1, 3}, {1, 4}, {2, 3}, {2, 4}, {3, 4}])
         assert find_split(k4, 0.5) is None  # no 2-subset covers all six pairs
+
+
+def reference_split(h, size):
+    """The phase-1 scan over vertex tuples: the first transversal and its 1-based position."""
+    for i, xs in enumerate(combinations(range(1, h.n + 1), size), 1):
+        if all(set(xs) & e for e in h.edges):
+            return xs, i
+    return None, math.comb(h.n, size)
+
+
+class TestPhaseOneScan:
+    CASES = rank4_deck(20) + instance_deck(40) + [
+        Hypergraph(4, [{1, 2}, {1, 3}, {1, 4}, {2, 3}, {2, 4}, {3, 4}]),
+        Hypergraph(5, [{1, 2}, set()]),
+    ]
+
+    @pytest.mark.parametrize("alpha", [0.5, DEFAULT_ALPHA, 1.0])
+    def test_scan_matches_tuple_scan(self, alpha, monkeypatch):
+        calls = 0
+        check = Hypergraph.is_transversal
+
+        def counted(h, s):
+            nonlocal calls
+            calls += 1
+            return check(h, s)
+
+        monkeypatch.setattr(Hypergraph, "is_transversal", counted)
+        for h in self.CASES:
+            size = math.floor(alpha * h.n)
+            calls = 0
+            got = _first_split(h, size)
+            assert got == reference_split(h, size)
+            assert calls == got[1]  # one traced transversal test per subset
+            assert find_split(h, alpha) == (None if got[0] is None else frozenset(got[0]))
+
+    def test_no_anchor_counters(self):
+        for h in self.CASES:
+            size = math.floor(0.5 * h.n)
+            if reference_split(h, size)[0] is not None:
+                continue
+            stats = enumerate_compression(h, lambda t: None, CompressionConfig(alpha=0.5))
+            checked = sum(math.comb(h.n, s) for s in range(size, h.n + 1))
+            assert (stats.nodes, stats.leaves, stats.max_depth) == (math.comb(h.n, size) + checked, checked, 0)
+            assert stats.outputs == len(oracle(h))
 
 
 class TestEnumerate:

@@ -211,6 +211,18 @@ class TestIncidenceMinimality:
         assert h == twin and hash(h) == hash(twin)
 
 
+class TestTransversalMask:
+    @pytest.mark.parametrize("h", [h for h in minimality_cases() if h.n <= 10])
+    def test_mask_agrees_with_vertex_set(self, h):
+        for m in range(0, 1 << (h.n + 1), 2):
+            assert h.is_transversal(m) == h.is_transversal(set_of(m))
+
+    @pytest.mark.parametrize("m", [0b1, 0b11, 1 << 4, 0b10 | 1 << 9, -1, -2, -(1 << 3)])
+    def test_mask_out_of_range_rejected(self, m):
+        with pytest.raises(ValueError, match=r"out of range 1\.\.3$"):
+            TRIANGLE.is_transversal(m)
+
+
 class TestInstance:
     def test_select_example(self):
         inst = Instance(TRIANGLE)

@@ -6,7 +6,7 @@ import transversals as tv
 from transversals import Hypergraph, Instance, enumerate_rank3, next_rule
 from transversals.rank3 import RuleId, apply_rule
 
-from helpers import emitted, instance_deck, oracle, run
+from helpers import emitted, instance_deck, no_memo, oracle, run  # noqa: F401 (no_memo is a fixture)
 
 
 def rule_on(edges, n=None, partial=()):
@@ -259,7 +259,7 @@ class TestMeasureSoundness:
             enumerate_rank3(Hypergraph(3, [{1, 2, 3}]), lambda t: None, check_measure=True, weights=zeros)
         assert str(caught.value) == "measure inequality violated at R2_2: 3.0 > 1.0"
 
-    def test_measure_evaluated_once_per_node(self, monkeypatch):
+    def test_measure_evaluated_once_per_node(self, monkeypatch, no_memo):
         from transversals import analysis
 
         calls = 0
@@ -273,6 +273,31 @@ class TestMeasureSoundness:
         monkeypatch.setattr(analysis, "mask_measure", counted)
         stats = enumerate_rank3(tv.gen_lower_bound(3, 15), lambda t: None, check_measure=True)
         assert calls == stats.nodes
+
+    def test_measure_evaluated_once_per_child_built(self, monkeypatch):
+        # with the memo each distinct state is expanded once, so only the
+        # root and the children the branch step builds are measured
+        from transversals import analysis, rank3
+
+        calls = built = 0
+        measure = analysis.mask_measure
+        apply = rank3.apply_rule
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return measure(*args)
+
+        def building(inst, rule):
+            nonlocal built
+            children = apply(inst, rule)
+            built += len(children)
+            return children
+
+        monkeypatch.setattr(analysis, "mask_measure", counted)
+        monkeypatch.setattr(rank3, "apply_rule", building)
+        stats = enumerate_rank3(tv.gen_lower_bound(3, 15), lambda t: None, check_measure=True)
+        assert calls == 1 + built < stats.nodes
 
 
 def shift(edges, offset):

@@ -6,7 +6,7 @@ from transversals.bitsets import set_of
 from transversals.hypergraph import search
 from transversals.rankk import _branch_step, _subsumed
 
-from helpers import canon, emitted, instance_deck, oracle, run
+from helpers import canon, emitted, instance_deck, no_memo, oracle, run  # noqa: F401 (no_memo is a fixture)
 
 
 class TestChooseB2:
@@ -192,7 +192,7 @@ def rescan(edges):
 
 
 class TestCarriedSubsumedSet:
-    def test_derived_set_equals_rescan_at_every_child(self, monkeypatch):
+    def test_derived_set_equals_rescan_at_every_child(self, monkeypatch, no_memo):
         derive = rankk._derive_subsumed
         children = with_new_masks = 0
 
@@ -209,6 +209,24 @@ class TestCarriedSubsumedSet:
             assert rankk._subsumed(frozenset(h.edge_masks())) == rescan(h.edge_masks())
             enumerate_rankk(h, lambda t: None)
         assert with_new_masks > 1000 and children > with_new_masks
+
+    def test_derived_set_equals_rescan_at_every_child_built(self, monkeypatch):
+        # with the memo only the children of distinct states are built
+        derive = rankk._derive_subsumed
+        children = with_new_masks = 0
+
+        def checked(subsumed, parent, child):
+            nonlocal children, with_new_masks
+            got = derive(subsumed, parent, child)
+            assert got == rescan(child)
+            children += 1
+            with_new_masks += bool(child - parent)
+            return got
+
+        monkeypatch.setattr(rankk, "_derive_subsumed", checked)
+        for h in instance_deck(150) + superset_heavy():
+            enumerate_rankk(h, lambda t: None)
+        assert with_new_masks > 500 and children > with_new_masks
 
     def test_exact_for_any_select_or_discard(self):
         # the engine only discards once the set is empty; the rule itself
