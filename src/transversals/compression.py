@@ -1,18 +1,20 @@
 """Iterative-compression enumeration, rank 4 by default.
 
-Phase 1 scans vertex subsets of size at least floor(alpha*n), from the
-largest size down. If no transversal of size exactly floor(alpha*n)
-exists, the scan's minimal transversals are already all of them and are
-emitted. Otherwise the first such transversal X anchors phase 2: for each
-N inside X (binary-counter order), the hyperedges hit by N are dropped,
-the rest lose the vertices X minus N, and an inner engine enumerates the
-minimal transversals Y of the projected hypergraph; N union Y is emitted
-when it is a minimal transversal of the input. Since a minimal transversal
-T forces N = T intersect X, nothing is emitted twice.
+Phase 1 scans the vertex subsets of size exactly floor(alpha*n) in
+lexicographic order and stops at the first transversal X. If there is
+none, every minimal transversal is larger than floor(alpha*n): the scan
+then walks the sizes n down to floor(alpha*n), each in lexicographic
+order, and emits the minimal transversals it meets. Otherwise X anchors
+phase 2: for each N inside X (binary-counter order), the hyperedges hit
+by N are dropped, the rest lose the vertices X minus N, and an inner
+engine enumerates the minimal transversals Y of the projected
+hypergraph; N union Y is emitted when it is a minimal transversal of the
+input. Since a minimal transversal T forces N = T intersect X, nothing
+is emitted twice.
 
 Projecting through a transversal X lowers the rank, so the rank-3 engine
-serves as the inner engine for rank-4 inputs. alpha tunes only the phase
-split, never the emitted set.
+is the inner engine for rank-4 inputs and rankk the one above rank 4.
+alpha tunes only the phase split, never the emitted set.
 
 The projection for N depends only on which edges N misses, and most
 subsets of X share one with another. N is kept as a bitmask over X, and
@@ -32,15 +34,15 @@ projected edge misses N and the rest of Y. So the set is minimal iff
 every member of N has an edge that no other member of N and no member
 of Y hits. Each N's private edges come from the incidence rows of its
 members and each Y's hit edges are recorded with Y, so a check is a few
-bit operations. X, N and each Y stay masks (the default inner engine
-emits masks); N's vertex mask is built from the counter only when
-something is emitted or an inner run needs its projection.
+bit operations. X, N and each Y stay masks; N's vertex mask is built
+from the counter only when something is emitted or an inner run needs
+its projection.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from functools import partial
 from itertools import combinations
 
@@ -52,31 +54,15 @@ from .rankk import enumerate_rankk
 #: Phase split minimizing the worst phase on rank-4 inputs.
 DEFAULT_ALPHA = 0.66938
 
-#: An engine run on each distinct projection. It must give the same outputs,
-#: in the same order, and the same stats for equal hypergraphs, and emit only
-#: minimal transversals of the hypergraph it is given: the final filter
-#: takes each output Y's own minimality for granted and checks only N. It
-#: hands its sink frozensets; the filter turns each into a mask once.
-InnerEngine = Callable[[Hypergraph, TransversalSink], SearchStats]
-
-
 class CompressionConfig(_FrozenRecord):
-    """alpha in [0.5, 1]; inner_engine of None picks one from the input rank.
+    """alpha in [0.5, 1]: the phase split, which never changes the output."""
 
-    The inner engine runs once per distinct projection, and its recorded
-    outputs and stats are reused for every N that projects the same way.
-    It must emit only minimal transversals of the projection it is given,
-    since the final filter checks the private edges of N's members alone
-    (see InnerEngine); every engine in the package does.
-    """
+    __slots__ = ("alpha",)
 
-    __slots__ = ("alpha", "inner_engine")
-
-    def __init__(self, alpha: float = DEFAULT_ALPHA, inner_engine: InnerEngine | None = None) -> None:
+    def __init__(self, alpha: float = DEFAULT_ALPHA) -> None:
         if not 0.5 <= alpha <= 1.0:
             raise ValueError("alpha must lie in [0.5, 1]")
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "inner_engine", inner_engine)
 
 
 def project(h: Hypergraph, x: Iterable[int] | int, n_sub: Iterable[int] | int) -> Hypergraph:
@@ -149,10 +135,9 @@ def enumerate_compression(
                     stats.outputs += 1
         return stats
 
-    inner = cfg.inner_engine
-    to_mask = inner is not None  # an InnerEngine hands its sink frozensets
-    if inner is None:
-        inner = partial(enumerate_rank3 if h.rank() <= 4 else enumerate_rankk, masks=True)
+    # Looked up in the module globals at run time: the benchmark trace and
+    # the tests patch them there.
+    inner = partial(enumerate_rank3 if h.rank() <= 4 else enumerate_rankk, masks=True)
 
     # N is an anchor-local counter: bit j stands for anchor[j]. Its key,
     # equal for exactly the N with equal projections, comes from one table.
@@ -172,14 +157,7 @@ def enumerate_compression(
             privs = _private_edges(rows, counter)
             ys: list[tuple[int, int]] = []
 
-            def record(
-                y: int | frozenset[int],
-                chosen: int = n_mask,
-                privs: list[int] | None = privs,
-                ys: list = ys,
-            ) -> None:
-                if to_mask:
-                    y = mask_of(y)
+            def record(y: int, chosen: int = n_mask, privs: list[int] | None = privs, ys: list = ys) -> None:
                 once_y = 0
                 for v in iter_bits(y):
                     once_y |= inc[v]

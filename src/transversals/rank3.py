@@ -42,14 +42,11 @@ drop_edge.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .bitsets import edge_key, set_of, set_sink
 from .errors import SearchInvariantError, UnsupportedInstanceError
 from .hypergraph import Hypergraph, Instance, SearchStats, TransversalSink, search
-
-if TYPE_CHECKING:
-    from .analysis import Weights
 
 #: Absolute tolerance on sums of 2**mu in the measure re-validation.
 MEASURE_TOLERANCE = 1e-9
@@ -265,7 +262,6 @@ def enumerate_rank3(
     sink: TransversalSink,
     *,
     check_measure: bool = False,
-    weights: Weights | None = None,
     masks: bool = False,
 ) -> SearchStats:
     """Invoke sink once per minimal transversal of h, in deterministic DFS order.
@@ -273,7 +269,7 @@ def enumerate_rank3(
     sink gets a frozenset, or with `masks` the vertex mask (bit v for v).
     check_measure validates, at every node with children, that the weighted
     measures satisfy sum_i 2**mu(child_i) <= 2**mu(parent) + tolerance,
-    using `weights` (default: the verified table).
+    under the verified weights `analysis.DEFAULT_WEIGHTS`.
     """
     if h.rank() > 3:
         raise UnsupportedInstanceError(f"rank {h.rank()} input; this engine handles rank <= 3")
@@ -283,10 +279,8 @@ def enumerate_rank3(
         return search(root, lambda inst, _: [(c, None) for c in apply_rule(inst, next_rule(inst))], h, sink)
     from .analysis import DEFAULT_WEIGHTS, mask_measure  # the toolbox loads only for this check
 
-    mweights = weights or DEFAULT_WEIGHTS
-
     def scaled(inst: Instance) -> float:
-        return 2.0 ** mask_measure(inst.vmask, inst.emasks, mweights)
+        return 2.0 ** mask_measure(inst.vmask, inst.emasks, DEFAULT_WEIGHTS)
 
     # Each state carries its own 2**mu, computed once when it is built.
     def branch(inst: Instance, parent: float) -> list[tuple[Instance, float]]:

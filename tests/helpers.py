@@ -1,12 +1,13 @@
 """Shared test utilities: canonical forms, engine runners, instance decks."""
 
+import contextlib
 import math
 from itertools import combinations
 
 import pytest
 
 import transversals as tv
-from transversals import hypergraph
+from transversals import compression, hypergraph
 
 
 @pytest.fixture
@@ -14,6 +15,17 @@ def no_memo(monkeypatch):
     """Give the search kernel's memo no room, so every node is expanded by
     the engine's branch step, as in a kernel without the memo."""
     monkeypatch.setattr(hypergraph, "_MEMO_MASKS", 0)
+
+
+@contextlib.contextmanager
+def rankk_inner():
+    """Compression runs rankk wherever it would run rank3 as its inner
+    engine, patched through the module global that the benchmark's trace
+    also wraps. rankk takes `masks=True` and emits only minimal
+    transversals of each projection, as the final filter requires."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(compression, "enumerate_rank3", tv.enumerate_rankk)
+        yield
 
 
 def canon(transversals):

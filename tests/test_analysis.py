@@ -5,6 +5,7 @@ import pytest
 import transversals as tv
 from transversals.analysis import (
     DEFAULT_WEIGHTS,
+    RANK4_UPPER,
     Weights,
     _branching_poly,
     bounds_table,
@@ -18,6 +19,7 @@ from transversals.analysis import (
     measure,
     verify_weights,
 )
+from transversals.compression import DEFAULT_ALPHA
 
 from helpers import instance_deck
 
@@ -227,6 +229,27 @@ class TestBoundsTable:
     def test_kmax_validated(self):
         with pytest.raises(ValueError):
             bounds_table(1)
+
+    def test_rank4_constants_balance_the_compression_phases(self):
+        # Phase 1 scans about C(n, alpha n) ~ (1 / (alpha^alpha (1-alpha)^(1-alpha)))^n
+        # subsets; phase 2 runs the rank-3 engine (base b) under each of the
+        # 2^(alpha n) subsets of the anchor, on the other (1-alpha) n vertices.
+        # alpha equalizes the two bases, and their common value is the rank-4 bound.
+        b = 1.6755
+
+        def gap(a):  # log phase-1 base minus log phase-2 base, decreasing on (0.5, 1)
+            return -a * math.log(a) - (1 - a) * math.log(1 - a) - a * math.log(2) - (1 - a) * math.log(b)
+
+        lo, hi = 0.5, 1 - 1e-12
+        for _ in range(100):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if gap(mid) > 0 else (lo, mid)
+        alpha = (lo + hi) / 2
+        base = 2**alpha * b ** (1 - alpha)
+        assert alpha == pytest.approx(0.669381, abs=1e-6)
+        assert base == pytest.approx(1.886298, abs=1e-6)
+        assert round(alpha, 5) == DEFAULT_ALPHA
+        assert ceil_at(base, 4) == RANK4_UPPER
 
     def test_rank2_upper_is_cited_not_recurrence(self):
         # the k=2 branching factor 1.4656 is a different number from the

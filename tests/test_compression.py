@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import math
 from collections import defaultdict
@@ -12,13 +13,14 @@ from transversals import (
     CompressionConfig,
     Hypergraph,
     UnsupportedInstanceError,
+    compression,
     enumerate_compression,
     find_split,
     project,
 )
 from transversals.compression import DEFAULT_ALPHA, _first_split, _keeps_minimal, _key_table, _private_edges
 
-from helpers import instance_deck, oracle, packed_blocks, run
+from helpers import instance_deck, oracle, packed_blocks, rankk_inner, run
 
 
 def rank4_deck(count, nmax=10):
@@ -122,8 +124,8 @@ class TestPhaseOneScan:
 class TestEnumerate:
     def test_inner_engine_override(self):
         h = Hypergraph(5, [{1, 2, 3}, {3, 4, 5}])
-        cfg = CompressionConfig(alpha=0.6, inner_engine=tv.enumerate_rankk)
-        got = run(enumerate_compression, h, config=cfg)
+        with rankk_inner():
+            got = run(enumerate_compression, h, config=CompressionConfig(alpha=0.6))
         assert got == [(1, 4), (1, 5), (2, 4), (2, 5), (3,)]
 
     def test_empty_edge_no_output(self):
@@ -169,28 +171,11 @@ class TestEnumerate:
 
     def test_rank5_with_general_inner(self):
         for h in instance_deck(15, kmin=5, kmax=5, nmax=10):
-            got = run(
-                enumerate_compression, h,
-                config=CompressionConfig(inner_engine=tv.enumerate_rankk),
-            )
-            assert got == oracle(h)
+            assert run(enumerate_compression, h) == oracle(h)
 
     def test_rank5_default_inner_picks_general_engine(self):
         h = next(h for h in instance_deck(30, kmin=5, kmax=5, nmax=9) if h.rank() == 5)
         assert run(enumerate_compression, h) == oracle(h)
-
-    def test_stacked_compression(self):
-        # rank 5 -> compression whose inner engine is itself compression
-        # over the rank-3 engine
-        def inner(hh, sink):
-            return enumerate_compression(
-                hh, sink, CompressionConfig(inner_engine=tv.enumerate_rank3)
-            )
-
-        h = tv.gen_random(tv.GeneratorSpec("random", k=5, n=9, m=8, seed=0))
-        assert h.rank() == 5
-        got = run(enumerate_compression, h, config=CompressionConfig(inner_engine=inner))
-        assert got == oracle(h)
 
     def test_zero_vertex_universe(self):
         assert run(enumerate_compression, Hypergraph(0, [])) == [()]
@@ -244,7 +229,8 @@ def subsets_of(x):
 
 def unmemoized(h, sink, config=None):
     """Reference: one inner run per N inside X, with nothing shared between
-    subsets that project the same way."""
+    subsets that project the same way. The inner engine is read from the
+    compression module, so a test that patches it there patches both."""
     cfg = config or CompressionConfig()
     x = find_split(h, cfg.alpha)
     if x is None:  # phase 1 alone has no projections to share
@@ -254,9 +240,7 @@ def unmemoized(h, sink, config=None):
         i for i, xs in enumerate(combinations(range(1, h.n + 1), size)) if frozenset(xs) == x
     )
     stats = tv.SearchStats(nodes=scanned)
-    inner = cfg.inner_engine
-    if inner is None:
-        inner = tv.enumerate_rank3 if h.rank() <= 4 else tv.enumerate_rankk
+    inner = compression.enumerate_rank3 if h.rank() <= 4 else compression.enumerate_rankk
     for n_sub in subsets_of(x):
         def emit(y, chosen=n_sub):
             t = chosen | y
@@ -285,69 +269,80 @@ def distinct_projections(h, config=None):
 RANK5 = next(h for h in instance_deck(30, kmin=5, kmax=5, nmax=9) if h.rank() == 5)
 
 
+@pytest.fixture
+def inner(request):
+    """The test's inner engine: "rank3" (the package's choice) or "rankk"."""
+    with rankk_inner() if request.param == "rankk" else contextlib.nullcontext():
+        yield
+
+
 class TestProjectionMemo:
     @pytest.mark.parametrize(
-        "deck,config",
+        "deck,config,inner",
         [
-            (rank4_deck(60), None),
-            (rank4_deck(20), CompressionConfig(alpha=0.5)),
-            (rank4_deck(20), CompressionConfig(alpha=0.8)),
-            (rank4_deck(20), CompressionConfig(inner_engine=tv.enumerate_rankk)),
-            ([RANK5], None),
-            ([tv.gen_lower_bound(4, 13), tv.gen_lower_bound(4, 17)], None),
+            (rank4_deck(60), None, "rank3"),
+            (rank4_deck(20), CompressionConfig(alpha=0.5), "rank3"),
+            (rank4_deck(20), CompressionConfig(alpha=0.8), "rank3"),
+            (rank4_deck(20), None, "rankk"),
+            ([RANK5], None, "rank3"),
+            ([tv.gen_lower_bound(4, 13), tv.gen_lower_bound(4, 17)], None, "rank3"),
         ],
         ids=["rank4", "alpha-0.5", "alpha-0.8", "rankk-inner", "rank5", "lb4"],
+        indirect=["inner"],
     )
-    def test_same_order_and_tree_as_unmemoized(self, deck, config):
+    def test_same_order_and_tree_as_unmemoized(self, deck, config, inner):
         for h in deck:
             assert trace(enumerate_compression, h, config) == trace(unmemoized, h, config)
 
     @pytest.mark.parametrize(
         "h", [tv.gen_lower_bound(4, 17), packed_blocks(4, 4, 2)], ids=["lb4-n17", "blocks-4-4-2"]
     )
-    def test_inner_runs_once_per_distinct_projection(self, h):
+    def test_inner_runs_once_per_distinct_projection(self, h, monkeypatch):
         calls = []
 
-        def counted(hh, sink):
+        def counted(hh, sink, **kwargs):
             calls.append(hh)
-            return tv.enumerate_rank3(hh, sink)
+            return tv.enumerate_rank3(hh, sink, **kwargs)
 
-        enumerate_compression(h, lambda t: None, CompressionConfig(inner_engine=counted))
+        monkeypatch.setattr(compression, "enumerate_rank3", counted)
+        enumerate_compression(h, lambda t: None)
         assert len(calls) == len(set(calls)) == distinct_projections(h) < 1 << len(find_split(h))
 
-    def test_failed_inner_run_caches_nothing(self):
+    def test_failed_inner_run_caches_nothing(self, monkeypatch):
         # the third inner run of the first engine call fails after emitting;
         # a second call must search every projection again
         h = packed_blocks(4, 4, 2)
         calls = []
 
-        def flaky(hh, sink):
+        def flaky(hh, sink, **kwargs):
             calls.append(hh)
-            stats = tv.enumerate_rank3(hh, sink)
+            stats = tv.enumerate_rank3(hh, sink, **kwargs)
             if len(calls) == 3 and not failed:
                 failed.append(hh)
                 raise UnsupportedInstanceError("inner engine gave up")
             return stats
 
         failed = []
-        cfg = CompressionConfig(inner_engine=flaky)
+        monkeypatch.setattr(compression, "enumerate_rank3", flaky)
         with pytest.raises(UnsupportedInstanceError):
-            enumerate_compression(h, lambda t: None, cfg)
+            enumerate_compression(h, lambda t: None)
         calls.clear()
-        assert trace(enumerate_compression, h, cfg) == trace(unmemoized, h)
+        second = trace(enumerate_compression, h)
         assert len(calls) == distinct_projections(h)
+        assert second == trace(unmemoized, h)  # the reference calls flaky too, which no longer fails
 
 
 PHASE2_DECKS = pytest.mark.parametrize(
-    "deck,config",
+    "deck,config,inner",
     [
-        (rank4_deck(40), None),
-        (rank4_deck(20), CompressionConfig(alpha=0.5)),
-        (rank4_deck(20), CompressionConfig(alpha=0.8)),
-        (rank4_deck(20), CompressionConfig(inner_engine=tv.enumerate_rankk)),
-        ([RANK5], None),
+        (rank4_deck(40), None, "rank3"),
+        (rank4_deck(20), CompressionConfig(alpha=0.5), "rank3"),
+        (rank4_deck(20), CompressionConfig(alpha=0.8), "rank3"),
+        (rank4_deck(20), None, "rankk"),
+        ([RANK5], None, "rank3"),
     ],
     ids=["rank4", "alpha-0.5", "alpha-0.8", "rankk-inner", "rank5"],
+    indirect=["inner"],
 )
 
 
@@ -362,7 +357,7 @@ def anchored(deck, config):
 
 class TestPhase2Masks:
     @PHASE2_DECKS
-    def test_keys_partition_subsets_like_projections(self, deck, config):
+    def test_keys_partition_subsets_like_projections(self, deck, config, inner):
         for h, x, subsets in anchored(deck, config):
             full = (1 << len(x)) - 1
             keys = _key_table(h.edge_masks(), sorted(x))
@@ -373,11 +368,10 @@ class TestPhase2Masks:
             assert sorted(map(sorted, by_key.values())) == sorted(map(sorted, by_projection.values()))
 
     @PHASE2_DECKS
-    def test_member_filter_agrees_with_full_check(self, deck, config):
-        inner = config.inner_engine if config else None
+    def test_member_filter_agrees_with_full_check(self, deck, config, inner):
         verdicts = set()  # the filter both accepts and rejects on every deck
         for h, x, subsets in anchored(deck, config):
-            engine = inner or (tv.enumerate_rank3 if h.rank() <= 4 else tv.enumerate_rankk)
+            engine = compression.enumerate_rank3 if h.rank() <= 4 else compression.enumerate_rankk
             inc = h._incidence()
             rows = [inc[v] for v in sorted(x)]
             for counter, n_sub in subsets:

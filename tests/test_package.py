@@ -4,6 +4,7 @@ contracts of the value classes SearchStats, CompressionConfig and B2Choice."""
 import copy
 import hashlib
 import importlib
+import inspect
 import json
 import os
 import pickle
@@ -167,6 +168,41 @@ class TestLazyPackage:
         assert proc.stdout == "['transversals']\n"
 
 
+class TestEngineOptions:
+    """Five settable values in all: rank3's check_measure and masks, rankk's
+    masks, compression's alpha (through CompressionConfig) and masks. The
+    inner engine follows from the input rank and the measure check uses
+    the verified weights; neither is an option."""
+
+    @staticmethod
+    def shape(fn):
+        return [(p.name, p.kind.name, p.default) for p in inspect.signature(fn).parameters.values()]
+
+    def test_signatures(self):
+        empty = inspect.Parameter.empty
+        h, sink = ("h", "POSITIONAL_OR_KEYWORD", empty), ("sink", "POSITIONAL_OR_KEYWORD", empty)
+        masks = ("masks", "KEYWORD_ONLY", False)
+        assert self.shape(tv.enumerate_rank3) == [h, sink, ("check_measure", "KEYWORD_ONLY", False), masks]
+        assert self.shape(tv.enumerate_rankk) == [h, sink, masks]
+        assert self.shape(tv.enumerate_compression) == [h, sink, ("config", "POSITIONAL_OR_KEYWORD", None), masks]
+        assert self.shape(tv.CompressionConfig) == [("alpha", "POSITIONAL_OR_KEYWORD", tv.DEFAULT_ALPHA)]
+        assert tv.CompressionConfig.__slots__ == ("alpha",)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda h: tv.CompressionConfig(alpha=0.5, inner_engine=tv.enumerate_rankk),
+            lambda h: tv.CompressionConfig(0.5, tv.enumerate_rankk),
+            lambda h: tv.enumerate_compression(h, lambda t: None, inner_engine=tv.enumerate_rankk),
+            lambda h: tv.enumerate_rank3(h, lambda t: None, check_measure=True, weights=tv.DEFAULT_WEIGHTS),
+        ],
+        ids=["config-keyword", "config-positional", "compression", "rank3-weights"],
+    )
+    def test_removed_options_raise(self, call):
+        with pytest.raises(TypeError):
+            call(tv.Hypergraph(3, [{1, 2, 3}]))
+
+
 class TestValueClasses:
     def test_search_stats(self):
         stats = tv.SearchStats()
@@ -184,22 +220,22 @@ class TestValueClasses:
 
     def test_compression_config(self):
         cfg = tv.CompressionConfig()
-        assert repr(cfg) == "CompressionConfig(alpha=0.66938, inner_engine=None)"
-        assert cfg == tv.CompressionConfig(0.66938, None)
+        assert repr(cfg) == "CompressionConfig(alpha=0.66938)"
+        assert cfg == tv.CompressionConfig(0.66938)
         assert cfg != tv.CompressionConfig(alpha=0.7)
-        assert cfg != (0.66938, None)
-        with_engine = tv.CompressionConfig(0.5, tv.enumerate_rankk)
-        assert with_engine == tv.CompressionConfig(alpha=0.5, inner_engine=tv.enumerate_rankk)
-        assert repr(with_engine).startswith("CompressionConfig(alpha=0.5, inner_engine=<function enumerate_rankk")
-        assert hash(cfg) == hash(tv.CompressionConfig()) == hash((0.66938, None))
-        assert len({cfg, tv.CompressionConfig(), with_engine}) == 2
+        assert cfg != (0.66938,)
+        half = tv.CompressionConfig(0.5)
+        assert half == tv.CompressionConfig(alpha=0.5)
+        assert repr(half) == "CompressionConfig(alpha=0.5)"
+        assert hash(cfg) == hash(tv.CompressionConfig()) == hash((0.66938,))
+        assert len({cfg, tv.CompressionConfig(), half}) == 2
         for alpha in (0.4, 1.2):
             with pytest.raises(ValueError, match=r"^alpha must lie in \[0\.5, 1\]$"):
                 tv.CompressionConfig(alpha=alpha)
         with pytest.raises(AttributeError):
             cfg.alpha = 0.9
         with pytest.raises(AttributeError):
-            del cfg.inner_engine
+            del cfg.alpha
         assert cfg.alpha == 0.66938
 
     def test_b2_choice(self):
@@ -216,7 +252,7 @@ class TestValueClasses:
     def test_copy_and_pickle_round_trip(self):
         values = [
             tv.SearchStats(1, 2, 3, 4),
-            tv.CompressionConfig(0.5, tv.enumerate_rankk),
+            tv.CompressionConfig(0.5),
             tv.B2Choice(frozenset({1, 4}), frozenset({1, 2, 3}), (1, 4)),
         ]
         for value in values:

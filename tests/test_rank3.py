@@ -244,19 +244,20 @@ class TestMeasureSoundness:
             stats = enumerate_rank3(tv.gen_lower_bound(3, n), lambda t: None, check_measure=True)
             assert stats.leaves <= n**3 * 1.6755**n
 
-    def test_bad_weights_detected(self):
+    def test_bad_weights_detected(self, monkeypatch):
+        from transversals import analysis
+
         # all-zero weights violate the branching inequality at 3-way branches
-        zeros = tv.Weights((0.0,) * 7, (0.0,) * 7)
+        monkeypatch.setattr(analysis, "DEFAULT_WEIGHTS", tv.Weights((0.0,) * 7, (0.0,) * 7))
         with pytest.raises(tv.SearchInvariantError):
-            enumerate_rank3(
-                Hypergraph(3, [{1, 2, 3}]), lambda t: None, check_measure=True, weights=zeros
-            )
+            enumerate_rank3(Hypergraph(3, [{1, 2, 3}]), lambda t: None, check_measure=True)
 
+    def test_violation_message(self, monkeypatch):
+        from transversals import analysis
 
-    def test_violation_message(self):
-        zeros = tv.Weights((0.0,) * 7, (0.0,) * 7)
+        monkeypatch.setattr(analysis, "DEFAULT_WEIGHTS", tv.Weights((0.0,) * 7, (0.0,) * 7))
         with pytest.raises(tv.SearchInvariantError) as caught:
-            enumerate_rank3(Hypergraph(3, [{1, 2, 3}]), lambda t: None, check_measure=True, weights=zeros)
+            enumerate_rank3(Hypergraph(3, [{1, 2, 3}]), lambda t: None, check_measure=True)
         assert str(caught.value) == "measure inequality violated at R2_2: 3.0 > 1.0"
 
     def test_measure_evaluated_once_per_node(self, monkeypatch, no_memo):

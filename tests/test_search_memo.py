@@ -8,29 +8,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import transversals as tv
-from transversals import CompressionConfig, Hypergraph, Instance, hypergraph, rank3
+from transversals import Hypergraph, Instance, hypergraph, rank3
 from transversals.hypergraph import search
 from transversals.rank3 import apply_rule, next_rule
 from transversals.rankk import _branch_step, _subsumed
 
-from helpers import instance_deck
+from helpers import instance_deck, rankk_inner
 
 DEFAULT = hypergraph._MEMO_MASKS
 BUDGETS = [DEFAULT, 8, 0]
 
 
+def compression_rankk_inner(h, sink):
+    with rankk_inner():
+        return tv.enumerate_compression(h, sink)
+
+
 def engines(h):
     """Every engine configuration that accepts h, by name."""
-    out = {
-        "rankk": tv.enumerate_rankk,
-        "compression/rankk": lambda h, sink: tv.enumerate_compression(
-            h, sink, CompressionConfig(inner_engine=tv.enumerate_rankk)
-        ),
-    }
+    out = {"rankk": tv.enumerate_rankk, "compression/rankk": compression_rankk_inner}
     if h.rank() <= 4:
-        out["compression/rank3"] = lambda h, sink: tv.enumerate_compression(
-            h, sink, CompressionConfig(inner_engine=tv.enumerate_rank3)
-        )
+        out["compression/rank3"] = tv.enumerate_compression
     if h.rank() <= 3:
         out["rank3"] = tv.enumerate_rank3
         out["rank3/check_measure"] = lambda h, sink: tv.enumerate_rank3(h, sink, check_measure=True)
