@@ -6,7 +6,9 @@ usage failure, 3 algorithm/input mismatch, 4 internal invariant breach.
 The enumeration commands import only the engines; the analysis toolbox
 and the instance generators load inside the commands that use them. The
 engines hand each transversal over as a vertex mask (bit v for vertex
-v); lines are formatted from its bits and sizes are bit counts.
+v); sizes are bit counts, and a line joins one string per byte of the
+mask, taken from per-run tables that map each byte value, on first use,
+to its vertex ids joined by spaces.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import argparse
 import sys
 import time
 
-from .bitsets import edge_key, mask_of
+from .bitsets import byte_entries, byte_tables, edge_key, iter_bits, mask_of
 from .compression import DEFAULT_ALPHA, CompressionConfig, enumerate_compression
 from .errors import ParseError, SearchInvariantError, UnsupportedInstanceError
 from .hypergraph import Hypergraph, SearchStats, parse_hypergraph, serialize_hypergraph
@@ -108,21 +110,21 @@ def _run_engine(name: str, h: Hypergraph, config: CompressionConfig, sink) -> Se
     raise ValueError(f"unknown algorithm {name!r}")
 
 
+def _byte_words(j: int, b: int) -> str:
+    """The ids of the vertices 8j..8j+7 picked by the bits of b, ascending, joined by spaces."""
+    return " ".join(map(str, iter_bits(b << 8 * j)))
+
+
 def _cmd_enumeration(args: argparse.Namespace) -> int:
     # Validates --alpha for every input, whichever engine runs.
     config = CompressionConfig(alpha=args.alpha)
     h = _read_input(args.input)
     algorithm = _pick_algorithm(args.algorithm, h)
     out = sys.stdout
-    labels = [str(v) for v in range(h.n + 1)]
+    words = byte_tables(h.n)
 
     def line(mask: int) -> str:
-        words = []
-        while mask:  # lowest bit first, so ascending; inline, as a generator costs more per line
-            low = mask & -mask
-            words.append(labels[low.bit_length() - 1])
-            mask ^= low
-        return " ".join(words) + "\n"
+        return " ".join(byte_entries(mask, words, _byte_words)) + "\n"
 
     if args.command == "enumerate":
         if getattr(args, "canonical", False):

@@ -158,9 +158,7 @@ def enumerate_compression(
             ys: list[tuple[int, int]] = []
 
             def record(y: int, chosen: int = n_mask, privs: list[int] | None = privs, ys: list = ys) -> None:
-                once_y = 0
-                for v in iter_bits(y):
-                    once_y |= inc[v]
+                once_y = h._fold(y)[0]
                 ys.append((y, once_y))
                 if privs is not None and _keeps_minimal(privs, once_y):
                     sink(chosen | y)

@@ -7,10 +7,11 @@ everywhere else in the package).
 
 A hypergraph stores only its edge masks (bit v for vertex v), in the
 canonical order `bitsets.edge_key`; `edges` derives the vertex sets. An
-incidence row per vertex over edge indices is built on first use, so
-the minimality check costs O(|S|) big-int operations instead of a pass
-over the edges. An `Instance` holds the working state as masks, and
-`Instance.branch` builds a child that selects and discards several
+incidence row per vertex over edge indices is built on first use, and
+the minimality check folds a set's rows eight vertices at a time: one
+table per byte of vertices maps each byte value, on first use, to its
+members' folded rows. An `Instance` holds the working state as masks,
+and `Instance.branch` builds a child that selects and discards several
 vertices in one pass over its edges. The search kernel hands each leaf's
 partial set to the minimality check and to its sink as a mask; the
 engines turn it into a frozenset only for a caller that asks for one.
@@ -23,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from typing import Any
 
-from .bitsets import edge_key, iter_bits, mask_of, set_of
+from .bitsets import byte_entries, byte_tables, edge_key, iter_bits, mask_of, set_of
 from .errors import ParseError, SearchInvariantError
 
 #: Consumer invoked exactly once per enumerated minimal transversal.
@@ -36,10 +37,13 @@ class Hypergraph:
     """Immutable hypergraph on the vertex universe 1..n.
 
     The empty edge is legal (no set hits it). Isolated vertices are legal.
-    Values are safe to share between concurrent enumeration runs.
+    Values are safe to share between concurrent enumeration runs: the
+    incidence rows and per-byte tables are caches built on first use,
+    outside ==, and two runs that fill one entry at once compute the same
+    value.
     """
 
-    __slots__ = ("n", "_masks", "_inc")
+    __slots__ = ("n", "_masks", "_inc", "_folds")
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]] = ()) -> None:
         if n < 0:
@@ -48,6 +52,7 @@ class Hypergraph:
         masks = {self._vertex_mask(map(int, e)) for e in edges}
         self._masks: tuple[int, ...] = tuple(sorted(masks, key=edge_key))
         self._inc: tuple[int, ...] | None = None
+        self._folds: list[dict[int, tuple[int, int, tuple[int, ...]]]] | None = None
 
     @classmethod
     def _from_masks(cls, n: int, masks: Iterable[int]) -> Hypergraph:
@@ -113,32 +118,51 @@ class Hypergraph:
             self._inc = tuple(inc)
         return self._inc
 
+    def _fold_byte(self, j: int, b: int) -> tuple[int, int, tuple[int, ...]]:
+        """_fold of the vertices 8j..8j+7 picked by the bits of b, its rows as a tuple."""
+        rows = tuple(map(self._incidence().__getitem__, iter_bits(b << 8 * j)))
+        once = twice = 0
+        for row in rows:
+            twice |= once & row
+            once |= row
+        return once, twice, rows
+
+    def _fold(self, s: int) -> tuple[int, int, list[int]]:
+        """The edges that s, a range-checked mask, hits once or more and twice
+        or more, and the incidence rows of its members in ascending order.
+
+        The rows are folded a byte of vertices at a time: each byte's
+        (once, twice, rows) comes from a table filled on first use, and the
+        bytes combine as twice |= t | (once & o), once |= o.
+        """
+        if self._folds is None:
+            self._folds = byte_tables(self.n)
+        once = twice = 0
+        rows: list[int] = []
+        for o, t, r in byte_entries(s, self._folds, self._fold_byte):
+            twice |= t | (once & o)
+            once |= o
+            rows += r
+        return once, twice, rows
+
     def is_minimal_transversal(self, s: Iterable[int] | int) -> bool:
         """True iff s hits every edge and every member of s has a private edge.
 
         s is a vertex set (repeats ignored) or its mask, an int with bit v
         for vertex v. A private edge of v is an edge whose only vertex in s
         is v. The private-edge criterion is equivalent to "no proper subset
-        of s is a transversal". Each member's incidence row is folded into
-        the edges hit once or more (`once`) and twice or more (`twice`): s
-        is a transversal iff `once` holds every edge, and v has a private
-        edge iff its row leaves `twice`. That is O(|s|) operations on m-bit
-        ints.
+        of s is a transversal". The members' incidence rows fold into the
+        edges hit once or more (`once`) and twice or more (`twice`): s is a
+        transversal iff `once` holds every edge, and v has a private edge
+        iff its row leaves `twice`. This is the "crit" test of Murakami and
+        Uno (DAM 2014); the fold (`_fold`) takes one table lookup per byte
+        of vertices.
         """
         if not isinstance(s, int):
             s = self._vertex_mask(s)
         elif s & 1 or s >> (self.n + 1):  # the test of _check_mask, inline on this hot path
             self._check_mask(s)
-        inc = self._incidence()
-        once = twice = 0
-        rows = []
-        while s:
-            low = s & -s
-            row = inc[low.bit_length() - 1]
-            twice |= once & row
-            once |= row
-            rows.append(row)
-            s ^= low
+        once, twice, rows = self._fold(s)
         if once != (1 << len(self._masks)) - 1:
             return False
         for row in rows:

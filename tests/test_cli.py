@@ -94,6 +94,35 @@ class TestEnumerate:
         assert "outputs=3" in err
 
 
+class TestLinesAcrossByteBoundaries:
+    """Lines are joined from per-byte strings; ids next to byte boundaries."""
+
+    H = tv.Hypergraph(65, [{7, 8}, {8, 9, 15}, {15, 16, 17}, {17, 63}, {63, 64, 65}, {7, 65}, {9, 16, 64}])
+    ENGINES = {"rank3": tv.enumerate_rank3, "rankk": tv.enumerate_rankk}
+
+    @staticmethod
+    def text(t):
+        return " ".join(map(str, sorted(t))) + "\n"
+
+    @pytest.fixture
+    def emitted(self, request):
+        found = []
+        self.ENGINES[request.param](self.H, found.append)
+        assert set().union(*found) == {7, 8, 9, 15, 16, 17, 63, 64, 65}
+        return request.param, found
+
+    @pytest.mark.parametrize("emitted", sorted(ENGINES), indirect=True)
+    def test_enumerate_minimum_and_canonical(self, emitted):
+        algorithm, found = emitted
+        text = serialize_hypergraph(self.H)
+        run = lambda *cmd: run_cli([*cmd, "--algorithm", algorithm], stdin_text=text)
+        assert run("enumerate") == (0, "".join(map(self.text, found)), "")
+        canonical = sorted(found, key=sorted)
+        assert run("enumerate", "--canonical") == (0, "".join(map(self.text, canonical)), "")
+        first_minimum = min(found, key=len)
+        assert run("minimum") == (0, self.text(first_minimum), "")
+
+
 class TestScalarCommands:
     def test_count_lower_bound_family(self):
         text = serialize_hypergraph(tv.gen_lower_bound(3, 10))

@@ -1,10 +1,11 @@
+import random
 import sys
 
 import pytest
 
 import transversals as tv
 from transversals import Hypergraph, Instance, ParseError, parse_hypergraph, serialize_hypergraph
-from transversals.bitsets import set_of
+from transversals.bitsets import byte_entries, byte_tables, mask_of, set_of
 
 from helpers import instance_deck, minimal_by_definition
 
@@ -209,6 +210,133 @@ class TestIncidenceMinimality:
         assert h._inc is rows
         assert twin._inc is None
         assert h == twin and hash(h) == hash(twin)
+
+
+#: Sizes at, just below and just above the byte boundaries of a mask.
+BYTE_SIZES = [0, 1, 7, 8, 9, 15, 16, 17, 64, 65]
+
+
+def crit_by_definition(h, s):
+    """s hits every edge, and each member has an edge meeting s only in that member."""
+    s = frozenset(s)
+    return all(e & s for e in h.edges) and all(any(e & s == {v} for e in h.edges) for v in s)
+
+
+def byte_boundary_graph(n, seed):
+    """Edges of 1 to 3 vertices, most of them straddling a byte boundary of 1..n."""
+    rng = random.Random(seed)
+    near = sorted({v for b in range(8, n + 8, 8) for v in (b - 1, b, b + 1) if 1 <= v <= n})
+    edges = []
+    for _ in range(min(n, 12)):
+        pool = near if near and rng.random() < 0.7 else range(1, n + 1)
+        edges.append(rng.sample(pool, min(len(pool), rng.randint(1, 3))))
+    return Hypergraph(n, edges)
+
+
+def byte_boundary_sets(h, seed, count=60):
+    """Minimal transversals and their one-vertex neighbours, plus random sets."""
+    rng = random.Random(seed)
+    vertices = list(range(1, h.n + 1))
+    sets = []
+    for _ in range(count):
+        s = set(rng.sample(vertices, rng.randint(0, h.n)))
+        sets.append(frozenset(s))
+        if h.is_transversal(s):
+            for v in rng.sample(sorted(s), len(s)):
+                if h.is_transversal(s - {v}):
+                    s.discard(v)
+            sets.append(frozenset(s))  # minimal
+            rest = sorted(set(vertices) - s)
+            if rest:
+                sets.append(frozenset(s | {rng.choice(rest)}))
+            if s:
+                sets.append(frozenset(s - {rng.choice(sorted(s))}))
+    return sets
+
+
+class TestByteBoundaries:
+    """The per-byte fold of the minimality check, at the edges of its bytes."""
+
+    def test_byte_entries_fill_each_byte_value_once(self):
+        calls = []
+
+        def fill(j, b):
+            calls.append((j, b))
+            return sorted(v for v in range(8 * j, 8 * j + 8) if b >> (v - 8 * j) & 1)
+
+        tables = byte_tables(17)
+        assert len(tables) == 3
+        assert byte_entries(0, tables, fill) == []
+        assert byte_entries(mask_of([7, 8, 17]), tables, fill) == [[7], [8], [17]]
+        assert byte_entries(mask_of([8, 9, 17]), tables, fill) == [[8, 9], [17]]
+        assert byte_entries(mask_of([7, 17]), tables, fill) == [[7], [17]]
+        assert calls == [(0, 0x80), (1, 0x01), (2, 0x02), (1, 0x03)]
+
+    @pytest.mark.parametrize("n", BYTE_SIZES)
+    def test_agrees_with_definition(self, n):
+        for seed in range(3):
+            h = byte_boundary_graph(n, seed)
+            sets = byte_boundary_sets(h, seed)
+            if n <= 9:
+                sets += [set_of(m) for m in range(0, 1 << (n + 1), 2)]
+            answers = {crit_by_definition(h, s) for s in sets}
+            assert n == 0 or answers == {True, False}
+            for s in sets:
+                want = crit_by_definition(h, s)
+                assert h.is_minimal_transversal(mask_of(s)) == want, (h, sorted(s))
+                assert h.is_minimal_transversal(s) == want, (h, sorted(s))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_tiny_universes(self, n):
+        assert Hypergraph(n).is_minimal_transversal(0)
+        assert not Hypergraph(n, [[]]).is_minimal_transversal(0)
+
+    @pytest.mark.parametrize("n", BYTE_SIZES)
+    def test_warm_tables_answer_like_a_fresh_copy(self, n):
+        h = byte_boundary_graph(n, 7)
+        sets = byte_boundary_sets(h, 7)
+        for s in sets:
+            h.is_minimal_transversal(mask_of(s))
+        for s in sets:
+            fresh = Hypergraph(n, h.edges)
+            assert h.is_minimal_transversal(mask_of(s)) == fresh.is_minimal_transversal(mask_of(s))
+
+    @pytest.mark.parametrize("n", BYTE_SIZES)
+    def test_fold_is_the_row_fold(self, n):
+        h = byte_boundary_graph(n, 11)
+        inc = h._incidence()
+        for s in byte_boundary_sets(h, 11):
+            rows = [inc[v] for v in sorted(s)]
+            once = twice = 0
+            for row in rows:
+                twice |= once & row
+                once |= row
+            assert h._fold(mask_of(s)) == (once, twice, rows)
+
+    def test_tables_filled_lazily_and_outside_equality(self):
+        edges = [{7, 8}, {8, 9}, {15, 16}, {16, 17}, {7, 17}]
+        h = Hypergraph(17, edges)
+        twin = Hypergraph(17, edges[::-1])
+        assert h._folds is None
+        assert h.is_minimal_transversal({8, 16, 17})
+        tables = h._folds
+        assert [sorted(t) for t in tables] == [[], [0b1], [0b11]]
+        inc = h._incidence()
+        assert tables[2][0b11] == (inc[16] | inc[17], inc[16] & inc[17], (inc[16], inc[17]))
+        assert not h.is_minimal_transversal({7, 8, 9, 16})
+        assert h._folds is tables
+        assert [sorted(t) for t in tables] == [[0b10000000], [0b1, 0b11], [0b1, 0b11]]
+        assert twin._folds is None
+        assert h == twin and hash(h) == hash(twin)
+
+    @pytest.mark.parametrize("n", BYTE_SIZES)
+    def test_out_of_range_masks_rejected_with_warm_tables(self, n):
+        h = byte_boundary_graph(n, 3)
+        h.is_minimal_transversal((1 << (n + 1)) - 2)  # every byte's table in use
+        bad = [0b1, 1 << (n + 1), 1 << (n + 8), (1 << (n + 2)) - 2, -1, -2, -(1 << 9)]
+        for m in bad:
+            with pytest.raises(ValueError, match=rf"out of range 1\.\.{n}$"):
+                h.is_minimal_transversal(m)
 
 
 class TestTransversalMask:

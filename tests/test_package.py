@@ -1,6 +1,8 @@
-"""The package surface: lazy public names, the CLI's import set, and the
-contracts of the value classes SearchStats, CompressionConfig and B2Choice."""
+"""The package surface: lazy public names, the CLI's import set, the
+contracts of the value classes SearchStats, CompressionConfig and B2Choice,
+and the syntax floor declared in pyproject.toml."""
 
+import ast
 import copy
 import hashlib
 import importlib
@@ -8,6 +10,7 @@ import inspect
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +22,8 @@ from transversals import serialize_hypergraph
 
 from helpers import packed_blocks
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 #: Modules the enumeration path must not load: the analysis toolbox, the
 #: generators, and `dataclasses` with its `inspect` import.
@@ -259,3 +263,12 @@ class TestValueClasses:
             assert copy.copy(value) == value
             assert copy.deepcopy(value) == value
             assert pickle.loads(pickle.dumps(value)) == value
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # CI also runs tier-1 on 3.10; this checks the grammar without that interpreter.
+    assert re.search(r'^requires-python = ">=3\.10"$', (ROOT / "pyproject.toml").read_text(), re.M)
+    sources = sorted((ROOT / "src" / "transversals").glob("*.py"))
+    assert len(sources) >= 10
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
