@@ -16,7 +16,9 @@ vertices in one pass over its edges. The search kernel hands each leaf's
 partial set to the minimality check and to its sink as a mask; the
 engines turn it into a frozenset only for a caller that asks for one.
 As the branching rules never read the partial set, the kernel expands
-each distinct working state once per run and replays its children.
+each distinct working state once per run and replays its children. It
+carries each partial set's fold down the tree, so a leaf's check folds
+nothing.
 """
 
 from __future__ import annotations
@@ -145,7 +147,7 @@ class Hypergraph:
             rows += r
         return once, twice, rows
 
-    def is_minimal_transversal(self, s: Iterable[int] | int) -> bool:
+    def is_minimal_transversal(self, s: Iterable[int] | int, fold: tuple | None = None) -> bool:
         """True iff s hits every edge and every member of s has a private edge.
 
         s is a vertex set (repeats ignored) or its mask, an int with bit v
@@ -156,19 +158,17 @@ class Hypergraph:
         transversal iff `once` holds every edge, and v has a private edge
         iff its row leaves `twice`. This is the "crit" test of Murakami and
         Uno (DAM 2014); the fold (`_fold`) takes one table lookup per byte
-        of vertices.
+        of vertices. A caller that has s's fold already (the search kernel
+        carries it down the tree) passes it as `fold`; it is trusted and
+        must equal `_fold(s)`, its rows in any order. s is range-checked
+        either way.
         """
         if not isinstance(s, int):
             s = self._vertex_mask(s)
         elif s & 1 or s >> (self.n + 1):  # the test of _check_mask, inline on this hot path
             self._check_mask(s)
-        once, twice, rows = self._fold(s)
-        if once != (1 << len(self._masks)) - 1:
-            return False
-        for row in rows:
-            if not row & ~twice:
-                return False
-        return True
+        once, twice, rows = self._fold(s) if fold is None else fold
+        return once == (1 << len(self._masks)) - 1 and all(map((~twice).__and__, rows))
 
 
 class Instance:
@@ -363,12 +363,12 @@ def search(
 
     A state without working edges is a leaf; its partial set goes to sink
     as a mask (never a frozenset) if it is a minimal transversal of
-    leaf_graph, which must have the same minimal transversals as root's
-    input. A state with an empty edge is a leaf that emits nothing. Every
-    other state is expanded by branch, and each child must shrink
-    |V| + |E|, which bounds the depth. Children are visited in branch
-    order, so the visit and emission order is the preorder of the tree.
-    `carry` is the value that goes with root.
+    leaf_graph, which must be on root's vertices 1..n and have the same
+    minimal transversals as root's input. A state with an empty edge is a
+    leaf that emits nothing. Every other state is expanded by branch, and
+    each child must shrink |V| + |E|, which bounds the depth. Children are
+    visited in branch order, so the visit and emission order is the
+    preorder of the tree. `carry` is the value that goes with root.
 
     By BranchStep's contract equal (vmask, emasks) have equal subtrees,
     so each distinct state is expanded once (while the memo has room,
@@ -376,26 +376,41 @@ def search(
     each adds to S, and later visits replay them onto their own S. Every
     visit and leaf is still counted, checked and emitted. A state that
     reaches branch is first rebuilt with its true S.
+
+    Each stack entry also carries S's fold over leaf_graph's incidence
+    rows (`Hypergraph._fold`: the edges hit once or more, twice or more,
+    and the members' rows), and each stored child the fold of the
+    vertices it adds, so a push folds only those in and a leaf's check
+    reads its fold instead of folding S again.
     """
-    stats = SearchStats()
-    memo: dict[tuple[int, frozenset[int]], list[tuple[Instance, int, Any]]] = {}
+    nodes = leaves = max_depth = outputs = 0
+    memo: dict[tuple[int, frozenset[int]], list[tuple[Instance, int, Any, tuple]]] = {}
     room = _MEMO_MASKS
-    stack = [(root, root.smask, carry, 0)]
+
+    def fold_of(m: int) -> tuple:
+        """leaf_graph._fold(m), its rows a tuple; one vertex or none reads no table."""
+        if m & (m - 1):
+            once, twice, rows = leaf_graph._fold(m)
+            return once, twice, tuple(rows)
+        rows = (leaf_graph._incidence()[m.bit_length() - 1],) if m else ()
+        return sum(rows), 0, rows  # once is the one row, or 0
+
+    stack = [(root, root.smask, carry, 0, fold_of(root.smask))]
     pop, push = stack.pop, stack.append
     while stack:
-        inst, s, carry, depth = pop()
-        stats.nodes += 1
-        if depth > stats.max_depth:
-            stats.max_depth = depth
+        inst, s, carry, depth, fold = pop()
+        nodes += 1
+        if depth > max_depth:
+            max_depth = depth
         edges = inst.emasks
         if not edges:
-            stats.leaves += 1
-            if leaf_graph.is_minimal_transversal(s):
+            leaves += 1
+            if leaf_graph.is_minimal_transversal(s, fold=fold):
                 sink(s)
-                stats.outputs += 1
+                outputs += 1
             continue
         if 0 in edges:
-            stats.leaves += 1
+            leaves += 1
             continue
         depth += 1
         key = (inst.vmask, edges)
@@ -408,14 +423,16 @@ def search(
             for child, value in branch(inst, carry):
                 if child.eta() > bound:
                     raise SearchInvariantError(f"|V|+|E| did not decrease at {inst!r}")
-                children.append((child, child.smask ^ s, value))
+                delta = child.smask ^ s
+                children.append((child, delta, value, fold_of(delta)))
             children.reverse()
             if len(edges) <= room:
                 memo[key] = children
                 room -= len(edges)
-        for child, delta, value in children:
-            push((child, s | delta, value, depth))
-    return stats
+        once, twice, rows = fold
+        for child, delta, value, (o, t, r) in children:
+            push((child, s | delta, value, depth, (once | o, twice | t | (once & o), rows + r)))
+    return SearchStats(nodes, leaves, max_depth, outputs)
 
 
 def parse_hypergraph(text: str) -> Hypergraph:

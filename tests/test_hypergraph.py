@@ -338,6 +338,21 @@ class TestByteBoundaries:
             with pytest.raises(ValueError, match=rf"out of range 1\.\.{n}$"):
                 h.is_minimal_transversal(m)
 
+    @pytest.mark.parametrize("n", BYTE_SIZES)
+    def test_given_fold_answers_like_no_fold(self, n):
+        h = byte_boundary_graph(n, 5)
+        for s in byte_boundary_sets(h, 5):
+            m = mask_of(s)
+            want = h.is_minimal_transversal(m)
+            once, twice, rows = h._fold(m)
+            assert h.is_minimal_transversal(m, fold=(once, twice, rows)) == want
+            assert h.is_minimal_transversal(m, fold=(once, twice, tuple(reversed(rows)))) == want
+            assert h.is_minimal_transversal(s, fold=(once, twice, rows)) == want
+        bad = [0b1, 1 << (n + 1), (1 << (n + 2)) - 2, -1, -(1 << 9)]
+        for m in bad:
+            with pytest.raises(ValueError, match=rf"out of range 1\.\.{n}$"):
+                h.is_minimal_transversal(m, fold=(0, 0, ()))
+
 
 class TestTransversalMask:
     @pytest.mark.parametrize("h", [h for h in minimality_cases() if h.n <= 10])

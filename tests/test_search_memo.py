@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import transversals as tv
 from transversals import Hypergraph, Instance, hypergraph, rank3
+from transversals.bitsets import mask_of
 from transversals.hypergraph import search
 from transversals.rank3 import apply_rule, next_rule
 from transversals.rankk import _branch_step, _subsumed
@@ -148,3 +149,93 @@ def test_unit_chain_with_tiny_budget_leaves_recursion_limit_alone(engine, monkey
     assert out == [frozenset(range(1, n + 1))]
     assert (stats.nodes, stats.leaves, stats.max_depth, stats.outputs) == (n + 1, 1, n, 1)
     assert limit == 200
+
+
+def compare_folds(monkeypatch):
+    """Make every leaf check compare its carried fold with a fresh `_fold`.
+
+    Returns two lists that the checks fill: the masks checked with a
+    fold, and those checked without one.
+    """
+    folded, unfolded = [], []
+    check = Hypergraph.is_minimal_transversal
+
+    def comparing(self, s, fold=None):
+        if fold is None:
+            unfolded.append(s)
+        else:
+            once, twice, rows = self._fold(s)
+            assert (fold[0], fold[1], sorted(fold[2])) == (once, twice, sorted(rows)), bin(s)
+            folded.append(s)
+        return check(self, s, fold=fold)
+
+    monkeypatch.setattr(Hypergraph, "is_minimal_transversal", comparing)
+    return folded, unfolded
+
+
+def fold_deck():
+    """The memo deck plus random inputs on either side of the byte boundaries."""
+    cases = deck()
+    for n in (7, 8, 9, 15, 16, 17):
+        for k in (2, 3, 4):
+            cases.append(tv.gen_random(tv.GeneratorSpec("random", k=k, n=n, m=2 * n, seed=n * k)))
+    return cases
+
+
+@pytest.mark.parametrize("h", fold_deck())
+def test_carried_fold_is_the_fresh_fold(h, monkeypatch):
+    folded, unfolded = compare_folds(monkeypatch)
+    for name, engine in engines(h).items():
+        for budget in BUDGETS:
+            monkeypatch.setattr(hypergraph, "_MEMO_MASKS", budget)
+            folded.clear()
+            unfolded.clear()
+            stats = engine(h, lambda t: None)
+            if not name.startswith("compression"):  # compression's phase 1 checks without a fold
+                assert unfolded == [], name
+                assert stats.outputs <= len(folded) <= stats.leaves, name
+
+
+@pytest.mark.parametrize("n", [9, 16, 17])
+def test_carried_fold_from_a_partial_root(n, monkeypatch):
+    folded, _ = compare_folds(monkeypatch)
+    partial = {1, 8, n}  # either side of the first byte boundary, and the last vertex
+    pm = mask_of(partial)
+    drawn = tv.gen_random(tv.GeneratorSpec("random", k=3, n=n, m=2 * n, seed=n))
+    h = Hypergraph(n, [e - partial for e in drawn.edges if e - partial])
+    leaf_graph = Hypergraph(n, [*h.edges, *({p} for p in partial)])
+    found = []
+    tv.enumerate_rankk(h, found.append, masks=True)
+    want = sorted(pm | m for m in found)
+    for step, carry in ((rank3_step, None), (_branch_step(), _subsumed(frozenset(h.edge_masks())))):
+        for budget in BUDGETS:
+            monkeypatch.setattr(hypergraph, "_MEMO_MASKS", budget)
+            folded.clear()
+            out = []
+            root = Instance(h, vertices=set(range(1, n + 1)) - partial, partial=partial)
+            search(root, step, leaf_graph, out.append, carry)
+            assert sorted(out) == want
+            assert len(folded) >= len(out) > 0
+
+
+def test_fold_runs_once_per_stored_child_adding_two_or_more_vertices(monkeypatch):
+    # Before the fold was carried, every one of the 1,000 leaves folded its S.
+    folds = multi = 0
+    fold = Hypergraph._fold
+
+    def counted_fold(self, s):
+        nonlocal folds
+        folds += 1
+        return fold(self, s)
+
+    def counted_rule(inst, rule):
+        nonlocal multi
+        children = apply_rule(inst, rule)
+        multi += sum((c.smask ^ inst.smask).bit_count() >= 2 for c in children)
+        return children
+
+    monkeypatch.setattr(Hypergraph, "_fold", counted_fold)
+    monkeypatch.setattr(rank3, "apply_rule", counted_rule)
+    stats = tv.enumerate_rank3(tv.gen_lower_bound(3, 15), lambda t: None)
+    assert (stats.nodes, stats.leaves) == (2123, 1000)
+    assert folds == multi == 20
