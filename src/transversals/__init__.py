@@ -37,7 +37,6 @@ _HOMES = {
         "SearchStats",
         "TransversalSink",
         "parse_hypergraph",
-        "relabel",
         "serialize_hypergraph",
     ),
     "instances": (
@@ -49,7 +48,7 @@ _HOMES = {
         "generate",
     ),
     "rank3": ("RuleId", "apply_rule", "enumerate_rank3", "next_rule"),
-    "rankk": ("B2Choice", "choose_b2", "enumerate_rankk"),
+    "rankk": ("enumerate_rankk",),
 }
 
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}

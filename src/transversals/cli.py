@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 failed measure verification, 2 input parse or
-usage failure, 3 algorithm/input mismatch, 4 internal invariant breach.
+usage failure, 3 algorithm/input mismatch (`--algorithm rank3` above
+rank 3; the other engines run at every rank), 4 internal invariant
+breach.
 
 The enumeration commands import only the engines; the analysis toolbox
 and the instance generators load inside the commands that use them. The
@@ -94,10 +96,6 @@ def _run_engine(name: str, h: Hypergraph, config: CompressionConfig, sink) -> Se
     if name == "rankk":
         return enumerate_rankk(h, sink, masks=True)
     if name == "compression":
-        if h.rank() > 4:
-            raise UnsupportedInstanceError(
-                f"rank {h.rank()} input; compression with the default inner engine handles rank <= 4"
-            )
         return enumerate_compression(h, sink, config, masks=True)
     if name == "oracle":
         from .instances import brute_force_enumerate

@@ -490,10 +490,3 @@ def serialize_hypergraph(h: Hypergraph) -> str:
     lines = [f"p hg {h.n} {len(h._masks)}"]
     lines.extend(" ".join(map(str, iter_bits(e))) for e in h._masks)
     return "\n".join(lines) + "\n"
-
-
-def relabel(h: Hypergraph, perm: dict[int, int]) -> Hypergraph:
-    """Apply a vertex permutation (a bijection on 1..n) to every edge."""
-    if sorted(perm) != list(range(1, h.n + 1)) or sorted(perm.values()) != list(range(1, h.n + 1)):
-        raise ValueError("perm must be a bijection on 1..n")
-    return Hypergraph(h.n, [[perm[v] for v in e] for e in h.edges])

@@ -34,17 +34,17 @@ checks that every child shrinks |V| + |E|, which bounds the depth, and
 keeps its pending nodes on an explicit stack. This module supplies the
 branch step, `next_rule` then `apply_rule`; with `check_measure` the step
 also re-validates the weighted-measure inequality at every node that
-spawns children. `apply_rule` builds each child of R2_*/R3_*/R4_* with
-one `Instance.branch(select mask, discard mask)`, a single pass over the
-working edges, and the reductions R1_* with one select, discard or
-drop_edge.
+spawns children. `next_rule` states each child of R2_*/R3_*/R4_* as a
+pair (select mask, discard mask), and `apply_rule` builds it with one
+`Instance.branch`, a single pass over the working edges; it builds the
+reductions R1_* with one select, discard or drop_edge.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .bitsets import edge_key, set_of, set_sink
+from .bitsets import edge_key, iter_bits, set_sink
 from .errors import SearchInvariantError, UnsupportedInstanceError
 from .hypergraph import Hypergraph, Instance, SearchStats, TransversalSink, search
 
@@ -53,32 +53,22 @@ MEASURE_TOLERANCE = 1e-9
 
 
 class RuleId(NamedTuple):
-    """First applicable rule plus its chosen pivots.
+    """First applicable rule and what it does to the working state.
 
-    Field use by tag: R1_0/R4_1 carry v; R1_1 carries e (the dropped
-    superset); R1_2 carries v and e; R2_* carry v, e and the companions
-    u/w; R3_* carry v, e = {v, u1} and the size-2 partners; R4_2 carries
-    v and u; R4_3 carries v, both edges, and their split vertices.
+    R1_0 and R1_2 carry v, the vertex they discard or select; R1_1 carries
+    e, the mask of the superset it drops. A branching rule (R2_*, R3_*,
+    R4_*) lists its children in branch order as (select mask, discard
+    mask) pairs; a halting rule has none.
     """
 
     tag: str
     v: int | None = None
-    e: frozenset[int] | None = None
-    e2: frozenset[int] | None = None
-    u: int | None = None
-    w: int | None = None
-    u1: int | None = None
-    u2: int | None = None
-    u3: int | None = None
-    w1: int | None = None
-    w2: int | None = None
-    partners: tuple[int, ...] = ()
+    e: int | None = None
+    branches: tuple[tuple[int, int], ...] = ()
 
 
 R0_0 = RuleId("R0_0")
 R0_1 = RuleId("R0_1")
-
-_BRANCHING = frozenset(("R2_1", "R2_2", "R2_3", "R3_1", "R3_2", "R3_3", "R4_1", "R4_2", "R4_3"))
 
 
 def next_rule(inst: Instance) -> RuleId:
@@ -119,32 +109,24 @@ def next_rule(inst: Instance) -> RuleId:
                 d = e ^ first
                 if e & d & -d:  # of two triples, the one with the lowest differing vertex
                     first = e
-            return RuleId("R1_1", e=set_of(first))
+            return RuleId("R1_1", e=first)
 
-    if units:
-        em = min(units)  # single-bit masks sort like their vertex ids
-        v = em.bit_length() - 1
-        return RuleId("R1_2", v=v, e=frozenset((v,)))
+    if units:  # single-bit masks sort like their vertex ids
+        return RuleId("R1_2", v=min(units).bit_length() - 1)
 
     ones = s1 & ~s2
     if ones:
         vb = ones & -ones
-        v = vb.bit_length() - 1
         for em in edges:
             if em & vb:
                 break
         others = em ^ vb
         lo = others & -others
-        u = lo.bit_length() - 1
         if others == lo:
-            return RuleId("R2_1", v=v, e=frozenset((v, u)), u=u)
-        w = (others ^ lo).bit_length() - 1
-        es = frozenset((v, u, w))
+            return RuleId("R2_1", branches=((vb, lo), (lo, vb)))
         if not others & s2:
-            return RuleId("R2_2", v=v, e=es, u=u, w=w)
-        if lo & s2:
-            return RuleId("R2_3", v=v, e=es, u=u, w=w)
-        return RuleId("R2_3", v=v, e=es, u=w, w=u)
+            return RuleId("R2_2", branches=tuple((1 << x, em ^ (1 << x)) for x in iter_bits(em)))
+        return RuleId("R2_3", branches=((vb, others), (0, vb)))
 
     if pairs:
         d2: dict[int, int] = {}
@@ -158,37 +140,24 @@ def next_rule(inst: Instance) -> RuleId:
             if d == top:
                 tied |= xb
         vb = _busiest(edges, tied) if tied & (tied - 1) else tied
-        v = vb.bit_length() - 1
-        partners = sorted((e ^ vb).bit_length() - 1 for e in pairs if e & vb)
-        es = frozenset((v, partners[0]))
-        if top == 1:
-            return RuleId("R3_1", v=v, e=es, u1=partners[0])
-        if top == 2:
-            return RuleId("R3_2", v=v, e=es, u1=partners[0], u2=partners[1])
-        return RuleId(
-            "R3_3", v=v, e=es,
-            u1=partners[0], u2=partners[1], u3=partners[2],
-            partners=tuple(partners),
-        )
+        partners = 0
+        for e in pairs:
+            if e & vb:
+                partners |= e ^ vb
+        return RuleId(f"R3_{min(top, 3)}", branches=((vb, 0), (partners, vb)))
 
     if s3:
-        return RuleId("R4_1", v=_busiest(edges, s3).bit_length() - 1)
+        vb = _busiest(edges, s3)
+        return RuleId("R4_1", branches=((vb, 0), (0, vb)))
     # Every vertex now lies in exactly two triples.
     vb = s1 & -s1
-    v = vb.bit_length() - 1
     ea, eb = sorted((e for e in edges if e & vb), key=edge_key)
     shared = ea & eb & ~vb
     if shared:
-        return RuleId("R4_2", v=v, u=(shared & -shared).bit_length() - 1)
+        return RuleId("R4_2", branches=((vb, shared & -shared), (0, vb)))
     a = ea ^ vb
-    b = eb ^ vb
     la = a & -a
-    lb = b & -b
-    return RuleId(
-        "R4_3", v=v, e=set_of(ea), e2=set_of(eb),
-        u1=la.bit_length() - 1, w1=(a ^ la).bit_length() - 1,
-        u2=lb.bit_length() - 1, w2=(b ^ lb).bit_length() - 1,
-    )
+    return RuleId("R4_3", branches=((vb | la, eb ^ vb), (vb, la), (0, vb)))
 
 
 def _busiest(edges: frozenset[int], cand: int) -> int:
@@ -220,41 +189,13 @@ def _busiest(edges: frozenset[int], cand: int) -> int:
 def apply_rule(inst: Instance, rule: RuleId) -> list[Instance]:
     """Child instances of a rule, in branch order; empty for halting rules."""
     t = rule.tag
-    if t in ("R0_0", "R0_1"):
-        return []
     if t == "R1_0":
         return [inst.discard(rule.v)]
     if t == "R1_1":
-        return [inst.drop_edge(rule.e)]
+        return [inst.drop_edge(iter_bits(rule.e))]
     if t == "R1_2":
         return [inst.select(rule.v)]
-    if t not in _BRANCHING:
-        raise ValueError(f"unknown rule tag {t!r}")
-    vb = 1 << rule.v
-    if t == "R2_1":
-        ub = 1 << rule.u
-        return [inst.branch(vb, ub), inst.branch(ub, vb)]
-    if t == "R2_2":
-        em = vb | 1 << rule.u | 1 << rule.w
-        return [inst.branch(xb, em ^ xb) for xb in sorted((vb, 1 << rule.u, 1 << rule.w))]
-    if t == "R2_3":
-        return [inst.branch(vb, 1 << rule.u | 1 << rule.w), inst.branch(0, vb)]
-    if t == "R3_1":
-        return [inst.branch(vb, 0), inst.branch(1 << rule.u1, vb)]
-    if t == "R3_2":
-        return [inst.branch(vb, 0), inst.branch(1 << rule.u1 | 1 << rule.u2, vb)]
-    if t == "R3_3":
-        sel = 0
-        for u in rule.partners:
-            sel |= 1 << u
-        return [inst.branch(vb, 0), inst.branch(sel, vb)]
-    if t == "R4_1":
-        return [inst.branch(vb, 0), inst.branch(0, vb)]
-    if t == "R4_2":
-        return [inst.branch(vb, 1 << rule.u), inst.branch(0, vb)]
-    # R4_3
-    u1b = 1 << rule.u1
-    return [inst.branch(vb | u1b, 1 << rule.u2 | 1 << rule.w2), inst.branch(vb, u1b), inst.branch(0, vb)]
+    return [inst.branch(s, d) for s, d in rule.branches]
 
 
 def enumerate_rank3(

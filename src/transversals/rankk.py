@@ -38,19 +38,8 @@ from __future__ import annotations
 from collections.abc import Callable
 from itertools import groupby
 
-from .bitsets import edge_key, iter_bits, set_of, set_sink
-from .hypergraph import BranchStep, Hypergraph, Instance, SearchStats, TransversalSink, _FrozenRecord, search
-
-
-class B2Choice(_FrozenRecord):
-    """Smallest-edge branching data: e, its overlap partner, and the branch order."""
-
-    __slots__ = ("e", "e_prime", "ordering")
-
-    def __init__(self, e: frozenset[int], e_prime: frozenset[int], ordering: tuple[int, ...]) -> None:
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "e_prime", e_prime)
-        object.__setattr__(self, "ordering", ordering)
+from .bitsets import edge_key, iter_bits, set_sink
+from .hypergraph import BranchStep, Hypergraph, Instance, SearchStats, TransversalSink, search
 
 
 def _subsumed(edges: frozenset[int]) -> set[int]:
@@ -98,6 +87,13 @@ class _EdgeKeys(dict):
 def _choose_b2(
     edges: frozenset[int], key: Callable[[int], tuple[int, ...]] = edge_key
 ) -> tuple[int, int, tuple[int, ...]]:
+    """The smallest edge e, its maximum-overlap partner, and the branch order.
+
+    Ties go to the canonically first edge (`key`); the order lists e's
+    vertices shared with the partner first. Under the branch's
+    preconditions (degrees >= 2) every edge meets another one, so a
+    partner-less edge raises ValueError rather than being picked.
+    """
     min_size = min(e.bit_count() for e in edges)
     e = min((x for x in edges if x.bit_count() == min_size), key=key)
     partners = [f for f in edges if f != e and f & e]
@@ -107,24 +103,6 @@ def _choose_b2(
     e_prime = min((f for f in partners if (f & e).bit_count() == best), key=key)
     ordering = (*iter_bits(e & e_prime), *iter_bits(e & ~e_prime))
     return e, e_prime, ordering
-
-
-def choose_b2(inst: Instance) -> B2Choice:
-    """Pick the smallest edge and its maximum-overlap partner, deterministically.
-
-    The engine reaches this branch only once every earlier rule is
-    inapplicable; under those preconditions a partner always exists, since
-    degrees of at least 2 make every edge intersect another one. Only
-    well-definedness is validated here, so degenerate states raise
-    ValueError instead of silently picking a partner-less edge.
-    """
-    edges = inst.emasks
-    if not edges:
-        raise ValueError("no edges; the halting rule applies")
-    if 0 in edges:
-        raise ValueError("empty edge; the backtracking rule applies")
-    e, e_prime, ordering = _choose_b2(edges)
-    return B2Choice(set_of(e), set_of(e_prime), ordering)
 
 
 def enumerate_rankk(h: Hypergraph, sink: TransversalSink, *, masks: bool = False) -> SearchStats:

@@ -218,11 +218,18 @@ class TestExitCodes:
         assert code == 3
         assert "rank" in err
 
-    def test_compression_rank_guard(self):
-        code, _, _ = run_cli(
-            ["count", "--algorithm", "compression"], stdin_text="p hg 5 1\n1 2 3 4 5\n"
-        )
-        assert code == 3
+    @pytest.mark.parametrize(
+        "h",
+        [tv.gen_lower_bound(5, 9), tv.gen_random(tv.GeneratorSpec("random", k=6, n=10, m=8, seed=1))],
+        ids=["rank5", "rank6"],
+    )
+    @pytest.mark.parametrize("command", [["count"], ["enumerate", "--canonical"]], ids=["count", "enumerate"])
+    def test_compression_runs_above_rank_four(self, h, command):
+        # compression runs rankk as its inner engine there
+        text = serialize_hypergraph(h)
+        code, out, err = run_cli([*command, "--algorithm", "compression"], stdin_text=text)
+        assert (code, err) == (0, "")
+        assert (code, out, err) == run_cli([*command, "--algorithm", "rankk"], stdin_text=text)
 
     def test_oracle_guard(self):
         text = serialize_hypergraph(tv.Hypergraph(26, [{1, 2}]))

@@ -513,10 +513,3 @@ class TestSearchKernel:
         monkeypatch.setattr(Instance, "branch", lambda self, sel, dis: self)
         with pytest.raises(tv.SearchInvariantError):
             engine(TRIANGLE, lambda t: None)
-
-
-def test_relabel_is_bijection_checked():
-    with pytest.raises(ValueError):
-        tv.relabel(TRIANGLE, {1: 1, 2: 2, 3: 2})
-    swapped = tv.relabel(TRIANGLE, {1: 2, 2: 1, 3: 3})
-    assert swapped == TRIANGLE  # triangle is symmetric

@@ -41,7 +41,7 @@ class TestBruteForce:
                 j = rng.below(i + 1)
                 ids[i], ids[j] = ids[j], ids[i]
             perm = {i + 1: ids[i] for i in range(h.n)}
-            relabeled = tv.relabel(h, perm)
+            relabeled = Hypergraph(h.n, [{perm[v] for v in e} for e in h.edges])
             want = canon([{perm[v] for v in t} for t in brute_force_enumerate(h)])
             assert canon(brute_force_enumerate(relabeled)) == want
 

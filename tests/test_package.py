@@ -1,6 +1,6 @@
 """The package surface: lazy public names, the CLI's import set, the
-contracts of the value classes SearchStats, CompressionConfig and B2Choice,
-and the syntax floor declared in pyproject.toml."""
+contracts of the value classes SearchStats and CompressionConfig, and the
+syntax floor declared in pyproject.toml."""
 
 import ast
 import copy
@@ -49,12 +49,11 @@ HOMES = {
     "compression": ["CompressionConfig", "DEFAULT_ALPHA", "enumerate_compression", "find_split", "project"],
     "errors": ["ParseError", "SearchInvariantError", "UnsupportedInstanceError"],
     "hypergraph": [
-        "Hypergraph", "Instance", "SearchStats", "TransversalSink", "parse_hypergraph", "relabel",
-        "serialize_hypergraph",
+        "Hypergraph", "Instance", "SearchStats", "TransversalSink", "parse_hypergraph", "serialize_hypergraph",
     ],
     "instances": ["GeneratorSpec", "brute_force_enumerate", "gen_lower_bound", "gen_random", "gen_triangles", "generate"],
     "rank3": ["RuleId", "apply_rule", "enumerate_rank3", "next_rule"],
-    "rankk": ["B2Choice", "choose_b2", "enumerate_rankk"],
+    "rankk": ["enumerate_rankk"],
 }
 
 
@@ -157,6 +156,11 @@ class TestLazyPackage:
             tv.no_such_name  # noqa: B018
         assert not hasattr(tv, "enumerate_everything")
 
+    @pytest.mark.parametrize("name", ["choose_b2", "B2Choice", "relabel"])
+    def test_removed_names_raise(self, name):
+        with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+            getattr(tv, name)
+
     def test_submodules_import_through_the_package(self):
         from transversals import cli, rankk
 
@@ -242,22 +246,10 @@ class TestValueClasses:
             del cfg.alpha
         assert cfg.alpha == 0.66938
 
-    def test_b2_choice(self):
-        choice = tv.choose_b2(tv.Instance(tv.Hypergraph(4, [{1, 2, 3}, {2, 3, 4}, {1, 4}])))
-        assert repr(choice) == "B2Choice(e=frozenset({1, 4}), e_prime=frozenset({1, 2, 3}), ordering=(1, 4))"
-        same = tv.B2Choice(e=frozenset({1, 4}), e_prime=frozenset({1, 2, 3}), ordering=(1, 4))
-        assert choice == same and hash(choice) == hash(same)
-        assert choice != tv.B2Choice(frozenset({1, 4}), frozenset({1, 2, 3}), (4, 1))
-        assert choice != (frozenset({1, 4}), frozenset({1, 2, 3}), (1, 4))
-        with pytest.raises(AttributeError):
-            choice.ordering = (4, 1)
-        assert choice.ordering == (1, 4)
-
     def test_copy_and_pickle_round_trip(self):
         values = [
             tv.SearchStats(1, 2, 3, 4),
             tv.CompressionConfig(0.5),
-            tv.B2Choice(frozenset({1, 4}), frozenset({1, 2, 3}), (1, 4)),
         ]
         for value in values:
             assert copy.copy(value) == value

@@ -4,6 +4,7 @@ import pytest
 
 import transversals as tv
 from transversals import Hypergraph, Instance, enumerate_rank3, next_rule
+from transversals.bitsets import mask_of
 from transversals.rank3 import RuleId, apply_rule
 
 from helpers import emitted, instance_deck, no_memo, oracle, run  # noqa: F401 (no_memo is a fixture)
@@ -13,6 +14,10 @@ def rule_on(edges, n=None, partial=()):
     verts = {v for e in edges for v in e} | set(partial)
     h = Hypergraph(n or (max(verts) if verts else 0), edges)
     return next_rule(Instance(h, partial=partial))
+
+
+def m(*vertices):
+    return mask_of(vertices)
 
 
 class TestNextRule:
@@ -26,8 +31,7 @@ class TestNextRule:
 
     def test_subsumed_triple_dropped(self):
         r = rule_on([{1, 2}, {1, 2, 3}, {1, 2, 4}])
-        assert r.tag == "R1_1"
-        assert r.e == {1, 2, 3}  # canonically first superset
+        assert (r.tag, r.e) == ("R1_1", m(1, 2, 3))  # canonically first superset
 
     def test_unit_edge(self):
         r = rule_on([{1}, {2, 3}])
@@ -35,59 +39,57 @@ class TestNextRule:
 
     def test_single_pair_goes_to_degree_branch(self):
         r = rule_on([{1, 2}])
-        assert (r.tag, r.v, r.u) == ("R2_1", 1, 2)
-        assert r.e == {1, 2}
+        assert (r.tag, r.branches) == ("R2_1", ((m(1), m(2)), (m(2), m(1))))
 
     def test_r2_2_all_degree_one(self):
         r = rule_on([{1, 2, 3}, {4, 5}])
-        assert (r.tag, r.v, r.u, r.w) == ("R2_2", 1, 2, 3)
+        # one branch per vertex of the edge, discarding the other two
+        assert (r.tag, r.branches) == ("R2_2", ((m(1), m(2, 3)), (m(2), m(1, 3)), (m(3), m(1, 2))))
 
     def test_r2_3_mixed_degrees(self):
         r = rule_on([{1, 2, 3}, {3, 4}, {2, 4, 5}])
-        # degree-1 pivots: v=1; u must be the smallest companion of degree >= 2
-        assert (r.tag, r.v, r.u, r.w) == ("R2_3", 1, 2, 3)
+        # v=1: select it and discard both companions, or discard it
+        assert (r.tag, r.branches) == ("R2_3", ((m(1), m(2, 3)), (0, m(1))))
+        # the same children when the smaller companion has degree 1
+        assert rule_on([{1, 2, 3}, {3, 4}]).branches == r.branches
 
     def test_r3_pivot_maximizes_small_degree_then_degree(self):
         # 1 sits in two pairs, 4 in one pair but three edges total
         r = rule_on([{1, 2}, {1, 3}, {2, 3}, {2, 4}, {3, 4}, {1, 4}])
-        assert r.tag == "R3_3"
+        assert (r.tag, r.branches) == ("R3_3", ((m(1), 0), (m(2, 3, 4), m(1))))
 
     def test_r3_1(self):
         # disjoint pairs keep every small-edge count at 1
         r = rule_on([{1, 2}, {3, 4}, {1, 3, 5}, {2, 4, 5}])
-        assert (r.tag, r.v, r.u1) == ("R3_1", 1, 2)
-        assert r.e == {1, 2}
+        assert (r.tag, r.branches) == ("R3_1", ((m(1), 0), (m(2), m(1))))
 
     def test_r3_2(self):
         r = rule_on([{1, 2}, {1, 3}, {2, 4, 5}, {3, 4, 5}])
-        assert (r.tag, r.v, r.u1, r.u2) == ("R3_2", 1, 2, 3)
+        assert (r.tag, r.branches) == ("R3_2", ((m(1), 0), (m(2, 3), m(1))))
 
     def test_r4_1_uniform_block(self):
         r = next_rule(Instance(tv.gen_lower_bound(3, 5)))
-        assert (r.tag, r.v) == ("R4_1", 1)
+        assert (r.tag, r.branches) == ("R4_1", ((m(1), 0), (0, m(1))))
 
     def test_r4_2_doubled_pair(self):
         edges = [{1, 2, 3}, {1, 2, 4}, {3, 5, 6}, {4, 5, 6}]
         r = rule_on(edges)
-        assert (r.tag, r.v, r.u) == ("R4_2", 1, 2)
+        assert (r.tag, r.branches) == ("R4_2", ((m(1), m(2)), (0, m(1))))
 
     def test_r4_3_disjoint_pair_of_edges(self):
         edges = [{1, 2, 3}, {1, 4, 5}, {2, 4, 6}, {3, 5, 6}]
         r = rule_on(edges)
-        assert (r.tag, r.v) == ("R4_3", 1)
-        assert (r.e, r.e2) == ({1, 2, 3}, {1, 4, 5})
-        assert (r.u1, r.w1, r.u2, r.w2) == (2, 3, 4, 5)
+        assert (r.tag, r.branches) == ("R4_3", ((m(1, 2), m(4, 5)), (m(1), m(2)), (0, m(1))))
 
     def test_rank_above_three_rejected(self):
         with pytest.raises(tv.UnsupportedInstanceError):
             rule_on([{1, 2, 3, 4}])
 
 
-
 class TestRuleIdContract:
     def test_equal_and_hash_like_hand_built(self):
         r = rule_on([{1, 2}, {1, 3}, {2, 4, 5}, {3, 4, 5}])
-        built = RuleId("R3_2", v=1, e=frozenset({1, 2}), u1=2, u2=3)
+        built = RuleId("R3_2", branches=((m(1), 0), (m(2, 3), m(1))))
         assert r == built
         assert hash(r) == hash(built)
 
@@ -97,9 +99,9 @@ class TestRuleIdContract:
             r.v = 4
 
     def test_defaults(self):
+        assert RuleId._fields == ("tag", "v", "e", "branches")
         r = RuleId("R4_1")
-        assert r.partners == ()
-        assert all(getattr(r, f) is None for f in RuleId._fields if f not in ("tag", "partners"))
+        assert (r.v, r.e, r.branches) == (None, None, ())
 
     def test_halting_rules(self):
         assert rule_on([]) == RuleId("R0_1")
@@ -134,11 +136,6 @@ class TestApplyRule:
         assert 2 not in b2.vertices
         assert b3.partial == frozenset()
         assert 1 not in b3.vertices
-
-    def test_unknown_tag_rejected(self):
-        inst = Instance(Hypergraph(2, [{1, 2}]))
-        with pytest.raises(ValueError, match="unknown rule tag"):
-            apply_rule(inst, RuleId("R9_9", v=1))
 
     def test_halting_tags_on_a_branching_state(self):
         inst = Instance(Hypergraph(2, [{1, 2}]))

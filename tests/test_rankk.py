@@ -1,54 +1,53 @@
 import pytest
 
 import transversals as tv
-from transversals import Hypergraph, Instance, choose_b2, enumerate_rankk, rankk
-from transversals.bitsets import set_of
+from transversals import Hypergraph, Instance, enumerate_rankk, rankk
+from transversals.bitsets import mask_of, set_of
 from transversals.hypergraph import search
-from transversals.rankk import _branch_step, _subsumed
+from transversals.rankk import _branch_step, _choose_b2, _subsumed
 
 from helpers import canon, emitted, instance_deck, no_memo, oracle, run  # noqa: F401 (no_memo is a fixture)
 
 
+def b2_on(n, edges):
+    return _choose_b2(Instance(Hypergraph(n, edges)).emasks)
+
+
+def m(*vertices):
+    return mask_of(vertices)
+
+
 class TestChooseB2:
     def test_all_overlaps_one(self):
-        inst = Instance(Hypergraph(5, [{1, 2, 3}, {3, 4, 5}, {1, 4, 5}]))
-        choice = choose_b2(inst)
-        assert choice.e == {1, 2, 3}
-        assert choice.e_prime == {1, 4, 5}  # canonical tie-break among overlap-1 partners
-        assert choice.ordering == (1, 2, 3)
+        e, e_prime, ordering = b2_on(5, [{1, 2, 3}, {3, 4, 5}, {1, 4, 5}])
+        assert e == m(1, 2, 3)
+        assert e_prime == m(1, 4, 5)  # canonical tie-break among overlap-1 partners
+        assert ordering == (1, 2, 3)
 
     def test_larger_overlap_wins(self):
-        inst = Instance(Hypergraph(11, [{1, 2, 3, 4, 5}, {1, 2, 6, 7, 8}, {3, 6, 9, 10, 11}]))
-        choice = choose_b2(inst)
-        assert choice.e == {1, 2, 3, 4, 5}
-        assert choice.e_prime == {1, 2, 6, 7, 8}
-        assert choice.ordering == (1, 2, 3, 4, 5)
+        e, e_prime, ordering = b2_on(11, [{1, 2, 3, 4, 5}, {1, 2, 6, 7, 8}, {3, 6, 9, 10, 11}])
+        assert e == m(1, 2, 3, 4, 5)
+        assert e_prime == m(1, 2, 6, 7, 8)
+        assert ordering == (1, 2, 3, 4, 5)
 
     def test_two_uniform_triangle(self):
-        inst = Instance(Hypergraph(3, [{1, 2}, {2, 3}, {1, 3}]))
-        choice = choose_b2(inst)
-        assert choice.e == {1, 2}
-        assert choice.e_prime == {1, 3}
-        assert choice.ordering == (1, 2)
+        e, e_prime, ordering = b2_on(3, [{1, 2}, {2, 3}, {1, 3}])
+        assert e == m(1, 2)
+        assert e_prime == m(1, 3)
+        assert ordering == (1, 2)
 
     def test_shared_vertices_first(self):
-        inst = Instance(Hypergraph(6, [{4, 5, 6}, {1, 2, 6}, {1, 2, 4, 5}]))
-        choice = choose_b2(inst)
-        assert choice.e == {1, 2, 6}
-        assert choice.e_prime == {1, 2, 4, 5}
-        assert choice.ordering == (1, 2, 6)
+        e, e_prime, ordering = b2_on(6, [{4, 5, 6}, {1, 2, 6}, {1, 2, 4, 5}])
+        assert e == m(1, 2, 6)
+        assert e_prime == m(1, 2, 4, 5)
+        assert ordering == (1, 2, 6)
 
     def test_smallest_edge_selected_canonically(self):
-        inst = Instance(Hypergraph(4, [{2, 3}, {1, 4}, {1, 2, 3}]))
-        assert choose_b2(inst).e == {1, 4}
+        assert b2_on(4, [{2, 3}, {1, 4}, {1, 2, 3}])[0] == m(1, 4)
 
     def test_degenerate_states_rejected(self):
-        with pytest.raises(ValueError):
-            choose_b2(Instance(Hypergraph(2, [])))
-        with pytest.raises(ValueError):
-            choose_b2(Instance(Hypergraph(2, [set(), {1, 2}])))
-        with pytest.raises(ValueError):
-            choose_b2(Instance(Hypergraph(4, [{1, 2}, {3, 4}])))
+        with pytest.raises(ValueError, match="overlaps no other edge"):
+            b2_on(4, [{1, 2}, {3, 4}])
 
 
 class TestEnumerate:
@@ -77,15 +76,6 @@ class TestEnumerate:
 
     def test_matches_oracle_any_rank(self):
         for h in instance_deck(150):
-            assert run(enumerate_rankk, h) == oracle(h)
-
-    def test_search_builds_no_b2_record(self, monkeypatch):
-        # B2Choice is for inspection through choose_b2; the engine reads masks.
-        def refuse(*args):
-            raise AssertionError("B2Choice built during a search")
-
-        monkeypatch.setattr(rankk, "B2Choice", refuse)
-        for h in instance_deck(40):
             assert run(enumerate_rankk, h) == oracle(h)
 
     def test_large_uniform_block(self):
@@ -139,13 +129,13 @@ class TestB2Partition:
     def test_branches_partition_by_first_ordering_vertex(self, edges, n):
         h = Hypergraph(n, edges)
         root = Instance(h)
-        choice = choose_b2(root)  # these roots dispatch straight to the smallest-edge branch
+        ordering = _choose_b2(root.emasks)[2]  # these roots dispatch straight to the smallest-edge branch
         groups = {}
         for t in oracle(h):
-            first = next(i for i, v in enumerate(choice.ordering) if v in t)
+            first = next(i for i, v in enumerate(ordering) if v in t)
             groups.setdefault(first, []).append(t)
         current = root
-        for i, v in enumerate(choice.ordering):
+        for i, v in enumerate(ordering):
             got = branch_outputs(current.select(v))
             assert got == sorted(groups.get(i, []))
             current = current.discard(v)
