@@ -29,7 +29,7 @@ _HOMES = {
         "measure",
         "verify_weights",
     ),
-    "compression": ("DEFAULT_ALPHA", "CompressionConfig", "enumerate_compression", "find_split", "project"),
+    "compression": ("DEFAULT_ALPHA", "enumerate_compression", "find_split", "project"),
     "errors": ("ParseError", "SearchInvariantError", "UnsupportedInstanceError"),
     "hypergraph": (
         "Hypergraph",

@@ -25,11 +25,6 @@ def set_of(mask: int) -> frozenset[int]:
     return frozenset(iter_bits(mask))
 
 
-def set_sink(sink: Callable[[frozenset[int]], None]) -> Callable[[int], None]:
-    """A sink of masks that hands sink each mask as a frozenset."""
-    return lambda m: sink(set_of(m))
-
-
 def edge_key(mask: int) -> tuple[int, ...]:
     """Sort key realizing the canonical edge order (ascending vertex lists)."""
     return tuple(iter_bits(mask))

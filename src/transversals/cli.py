@@ -20,7 +20,7 @@ import sys
 import time
 
 from .bitsets import byte_entries, byte_tables, edge_key, iter_bits, mask_of
-from .compression import DEFAULT_ALPHA, CompressionConfig, enumerate_compression
+from .compression import DEFAULT_ALPHA, _check_alpha, enumerate_compression
 from .errors import ParseError, SearchInvariantError, UnsupportedInstanceError
 from .hypergraph import Hypergraph, SearchStats, parse_hypergraph, serialize_hypergraph
 from .rank3 import enumerate_rank3
@@ -90,13 +90,13 @@ def _pick_algorithm(name: str, h: Hypergraph) -> str:
     return "rankk"
 
 
-def _run_engine(name: str, h: Hypergraph, config: CompressionConfig, sink) -> SearchStats:
+def _run_engine(name: str, h: Hypergraph, alpha: float, sink) -> SearchStats:
     if name == "rank3":
-        return enumerate_rank3(h, sink, masks=True)
+        return enumerate_rank3(h, sink)
     if name == "rankk":
-        return enumerate_rankk(h, sink, masks=True)
+        return enumerate_rankk(h, sink)
     if name == "compression":
-        return enumerate_compression(h, sink, config, masks=True)
+        return enumerate_compression(h, sink, alpha=alpha)
     if name == "oracle":
         from .instances import brute_force_enumerate
 
@@ -114,8 +114,8 @@ def _byte_words(j: int, b: int) -> str:
 
 
 def _cmd_enumeration(args: argparse.Namespace) -> int:
-    # Validates --alpha for every input, whichever engine runs.
-    config = CompressionConfig(alpha=args.alpha)
+    # Validates --alpha before reading the input, whichever engine runs.
+    _check_alpha(args.alpha)
     h = _read_input(args.input)
     algorithm = _pick_algorithm(args.algorithm, h)
     out = sys.stdout
@@ -127,13 +127,13 @@ def _cmd_enumeration(args: argparse.Namespace) -> int:
     if args.command == "enumerate":
         if getattr(args, "canonical", False):
             collected: list[int] = []
-            stats = _run_engine(algorithm, h, config, collected.append)
+            stats = _run_engine(algorithm, h, args.alpha, collected.append)
             for mask in sorted(collected, key=edge_key):  # ascending vertex lists
                 out.write(line(mask))
         else:
-            stats = _run_engine(algorithm, h, config, lambda m: out.write(line(m)))
+            stats = _run_engine(algorithm, h, args.alpha, lambda m: out.write(line(m)))
     elif args.command == "count":
-        stats = _run_engine(algorithm, h, config, lambda m: None)
+        stats = _run_engine(algorithm, h, args.alpha, lambda m: None)
         out.write(f"{stats.outputs}\n")
     elif args.command in ("minimum", "count-minimum"):
         best: int | None = None  # the first transversal of minimum size
@@ -147,14 +147,14 @@ def _cmd_enumeration(args: argparse.Namespace) -> int:
             elif c == size:
                 ties += 1
 
-        stats = _run_engine(algorithm, h, config, tally)
+        stats = _run_engine(algorithm, h, args.alpha, tally)
         if args.command == "count-minimum":
             out.write(f"{ties}\n")
         elif best is not None:
             out.write(line(best))
     else:  # bench
         started = time.perf_counter()
-        stats = _run_engine(algorithm, h, config, lambda m: None)
+        stats = _run_engine(algorithm, h, args.alpha, lambda m: None)
         elapsed = time.perf_counter() - started
         out.write(
             f"algorithm={algorithm} n={h.n} edges={len(h.edge_masks())} rank={h.rank()} "

@@ -43,26 +43,21 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from functools import partial
 from itertools import combinations
 
-from .bitsets import iter_bits, mask_of, set_sink
-from .hypergraph import Hypergraph, SearchStats, TransversalSink, _FrozenRecord
+from .bitsets import iter_bits, mask_of
+from .hypergraph import Hypergraph, SearchStats, TransversalSink
 from .rank3 import enumerate_rank3
 from .rankk import enumerate_rankk
 
 #: Phase split minimizing the worst phase on rank-4 inputs.
 DEFAULT_ALPHA = 0.66938
 
-class CompressionConfig(_FrozenRecord):
-    """alpha in [0.5, 1]: the phase split, which never changes the output."""
 
-    __slots__ = ("alpha",)
-
-    def __init__(self, alpha: float = DEFAULT_ALPHA) -> None:
-        if not 0.5 <= alpha <= 1.0:
-            raise ValueError("alpha must lie in [0.5, 1]")
-        object.__setattr__(self, "alpha", alpha)
+def _check_alpha(alpha: float) -> None:
+    """Raise ValueError unless alpha, the phase split, lies in [0.5, 1]."""
+    if not 0.5 <= alpha <= 1.0:
+        raise ValueError("alpha must lie in [0.5, 1]")
 
 
 def project(h: Hypergraph, x: Iterable[int] | int, n_sub: Iterable[int] | int) -> Hypergraph:
@@ -99,26 +94,19 @@ def find_split(h: Hypergraph, alpha: float = DEFAULT_ALPHA) -> frozenset[int] | 
     return None if xs is None else frozenset(xs)
 
 
-def enumerate_compression(
-    h: Hypergraph,
-    sink: TransversalSink,
-    config: CompressionConfig | None = None,
-    *,
-    masks: bool = False,
-) -> SearchStats:
-    """Invoke sink once per minimal transversal of h.
+def enumerate_compression(h: Hypergraph, sink: TransversalSink, *, alpha: float = DEFAULT_ALPHA) -> SearchStats:
+    """Invoke sink once per minimal transversal of h, with its vertex mask (bit v for vertex v).
 
-    sink gets a frozenset, or with `masks` the vertex mask (bit v for v).
+    alpha, in [0.5, 1], is the phase split; it never changes the output.
     Stats: nodes counts phase-1 subsets scanned plus inner-engine nodes;
     leaves aggregates inner leaves, or counts the scanned subsets when the
     run never leaves phase 1 (each subset check halts there); outputs
     counts emissions. Inner counters are added once per N, replayed or
     not, so they describe one inner run per subset of X.
     """
-    cfg = config or CompressionConfig()
-    sink = sink if masks else set_sink(sink)
+    _check_alpha(alpha)
     stats = SearchStats()
-    size = math.floor(cfg.alpha * h.n)
+    size = math.floor(alpha * h.n)
     anchor, stats.nodes = _first_split(h, size)
 
     if anchor is None:
@@ -137,7 +125,7 @@ def enumerate_compression(
 
     # Looked up in the module globals at run time: the benchmark trace and
     # the tests patch them there.
-    inner = partial(enumerate_rank3 if h.rank() <= 4 else enumerate_rankk, masks=True)
+    inner = enumerate_rank3 if h.rank() <= 4 else enumerate_rankk
 
     # N is an anchor-local counter: bit j stands for anchor[j]. Its key,
     # equal for exactly the N with equal projections, comes from one table.

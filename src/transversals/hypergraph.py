@@ -13,8 +13,8 @@ table per byte of vertices maps each byte value, on first use, to its
 members' folded rows. An `Instance` holds the working state as masks,
 and `Instance.branch` builds a child that selects and discards several
 vertices in one pass over its edges. The search kernel hands each leaf's
-partial set to the minimality check and to its sink as a mask; the
-engines turn it into a frozenset only for a caller that asks for one.
+partial set to the minimality check and to its sink as a mask, and every
+engine's sink gets masks; `bitsets.set_of` decodes one into a frozenset.
 As the branching rules never read the partial set, the kernel expands
 each distinct working state once per run and replays its children. It
 carries each partial set's fold down the tree, so a leaf's check folds
@@ -29,10 +29,9 @@ from typing import Any
 from .bitsets import byte_entries, byte_tables, edge_key, iter_bits, mask_of, set_of
 from .errors import ParseError, SearchInvariantError
 
-#: Consumer invoked exactly once per enumerated minimal transversal.
-TransversalSink = Callable[[frozenset[int]], None]
-#: The same, handed each transversal as its vertex mask.
-MaskSink = Callable[[int], None]
+#: Consumer invoked exactly once per enumerated minimal transversal, with
+#: its vertex mask (bit v for vertex v).
+TransversalSink = Callable[[int], None]
 
 
 class Hypergraph:
@@ -174,10 +173,10 @@ class Hypergraph:
 class Instance:
     """Working state of one enumeration run.
 
-    `vertices` are still eligible for the partial solution `partial`,
-    and `working_edges` are the hyperedges not yet hit. The partial
-    solution and the working vertex set never overlap. Instances are
-    persistent values: select/discard/branch return new instances.
+    `vmask` holds the vertices still eligible for the partial solution
+    `smask`, and `emasks` the hyperedges not yet hit, all as masks. The
+    partial solution and the working vertex set never overlap. Instances
+    are persistent values: select/discard/branch return new instances.
     """
 
     __slots__ = ("original", "vmask", "emasks", "smask")
@@ -208,18 +207,6 @@ class Instance:
         inst.emasks = emasks
         inst.smask = smask
         return inst
-
-    @property
-    def vertices(self) -> frozenset[int]:
-        return set_of(self.vmask)
-
-    @property
-    def working_edges(self) -> frozenset[frozenset[int]]:
-        return frozenset(set_of(e) for e in self.emasks)
-
-    @property
-    def partial(self) -> frozenset[int]:
-        return set_of(self.smask)
 
     def eta(self) -> int:
         """Progress measure |V| + |E|; strictly decreases down the search tree."""
@@ -280,19 +267,25 @@ class Instance:
         return hash((self.vmask, self.emasks, self.smask))
 
     def __repr__(self) -> str:
-        edges = sorted(sorted(set_of(e)) for e in self.emasks)
-        return f"Instance(V={sorted(self.vertices)}, E={edges}, S={sorted(self.partial)})"
+        edges = sorted(list(iter_bits(e)) for e in self.emasks)
+        return f"Instance(V={list(iter_bits(self.vmask))}, E={edges}, S={list(iter_bits(self.smask))})"
 
 
-class _Record:
-    """A value class over its __slots__: field-wise ==, a keyword repr.
+class SearchStats:
+    """Counters for one run; leaves <= nodes and outputs <= leaves throughout.
 
-    What `@dataclass` would generate, without importing `dataclasses`
-    (and with it `inspect`) on the enumeration path. Unhashable, like a
-    mutable dataclass; see _FrozenRecord.
+    Field-wise ==, a keyword repr, pickling, and no hash: what a mutable
+    `@dataclass` would generate, without importing `dataclasses` (and with
+    it `inspect`) on the enumeration path.
     """
 
-    __slots__ = ()
+    __slots__ = ("nodes", "leaves", "max_depth", "outputs")
+
+    def __init__(self, nodes: int = 0, leaves: int = 0, max_depth: int = 0, outputs: int = 0) -> None:
+        self.nodes = nodes
+        self.leaves = leaves
+        self.max_depth = max_depth
+        self.outputs = outputs
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self.__slots__)
@@ -308,33 +301,6 @@ class _Record:
 
     def __reduce__(self) -> tuple:
         return type(self), self._values()
-
-
-class _FrozenRecord(_Record):
-    """An immutable, hashable _Record; __init__ sets fields with object.__setattr__."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-
-class SearchStats(_Record):
-    """Counters for one run; leaves <= nodes and outputs <= leaves throughout."""
-
-    __slots__ = ("nodes", "leaves", "max_depth", "outputs")
-
-    def __init__(self, nodes: int = 0, leaves: int = 0, max_depth: int = 0, outputs: int = 0) -> None:
-        self.nodes = nodes
-        self.leaves = leaves
-        self.max_depth = max_depth
-        self.outputs = outputs
 
 
 #: An engine's branching rules: a state that has working edges, none of
@@ -356,7 +322,7 @@ def search(
     root: Instance,
     branch: BranchStep,
     leaf_graph: Hypergraph,
-    sink: MaskSink,
+    sink: TransversalSink,
     carry: Any = None,
 ) -> SearchStats:
     """Depth-first branch-and-reduce search from root, on an explicit stack.

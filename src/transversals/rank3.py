@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .bitsets import edge_key, iter_bits, set_sink
+from .bitsets import edge_key, iter_bits
 from .errors import SearchInvariantError, UnsupportedInstanceError
 from .hypergraph import Hypergraph, Instance, SearchStats, TransversalSink, search
 
@@ -203,18 +203,16 @@ def enumerate_rank3(
     sink: TransversalSink,
     *,
     check_measure: bool = False,
-    masks: bool = False,
 ) -> SearchStats:
     """Invoke sink once per minimal transversal of h, in deterministic DFS order.
 
-    sink gets a frozenset, or with `masks` the vertex mask (bit v for v).
+    sink gets each transversal's vertex mask (bit v for vertex v).
     check_measure validates, at every node with children, that the weighted
     measures satisfy sum_i 2**mu(child_i) <= 2**mu(parent) + tolerance,
     under the verified weights `analysis.DEFAULT_WEIGHTS`.
     """
     if h.rank() > 3:
         raise UnsupportedInstanceError(f"rank {h.rank()} input; this engine handles rank <= 3")
-    sink = sink if masks else set_sink(sink)
     root = Instance(h)
     if not check_measure:
         return search(root, lambda inst, _: [(c, None) for c in apply_rule(inst, next_rule(inst))], h, sink)

@@ -38,7 +38,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from itertools import groupby
 
-from .bitsets import edge_key, iter_bits, set_sink
+from .bitsets import edge_key, iter_bits
 from .hypergraph import BranchStep, Hypergraph, Instance, SearchStats, TransversalSink, search
 
 
@@ -105,12 +105,12 @@ def _choose_b2(
     return e, e_prime, ordering
 
 
-def enumerate_rankk(h: Hypergraph, sink: TransversalSink, *, masks: bool = False) -> SearchStats:
-    """Invoke sink once per minimal transversal of h (a frozenset, or with `masks` a mask); any rank."""
+def enumerate_rankk(h: Hypergraph, sink: TransversalSink) -> SearchStats:
+    """Invoke sink once per minimal transversal of h, with its vertex mask (bit v for vertex v); any rank."""
     root = Instance(h)
     subsumed = _subsumed(root.emasks)
     leaf_graph = Hypergraph._from_masks(h.n, root.emasks - subsumed)
-    return search(root, _branch_step(), leaf_graph, sink if masks else set_sink(sink), subsumed)
+    return search(root, _branch_step(), leaf_graph, sink, subsumed)
 
 
 def _branch_step() -> BranchStep:

@@ -8,6 +8,7 @@ import pytest
 
 import transversals as tv
 from transversals import compression, hypergraph
+from transversals.bitsets import set_of
 
 
 @pytest.fixture
@@ -21,8 +22,8 @@ def no_memo(monkeypatch):
 def rankk_inner():
     """Compression runs rankk wherever it would run rank3 as its inner
     engine, patched through the module global that the benchmark's trace
-    also wraps. rankk takes `masks=True` and emits only minimal
-    transversals of each projection, as the final filter requires."""
+    also wraps. rankk hands its sink masks, as rank3 does, and emits only
+    minimal transversals of each projection, as the final filter requires."""
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(compression, "enumerate_rank3", tv.enumerate_rankk)
         yield
@@ -34,16 +35,17 @@ def canon(transversals):
 
 
 def run(engine, h, **kwargs):
+    """The canonical form of an engine's output, its masks decoded."""
     out = []
     engine(h, out.append, **kwargs)
-    return canon(out)
+    return canon(map(set_of, out))
 
 
 def emitted(engine, h, **kwargs):
-    """Emission order as produced, not canonicalized."""
+    """Emission order as produced, not canonicalized, each mask decoded."""
     out = []
     engine(h, out.append, **kwargs)
-    return [tuple(sorted(t)) for t in out]
+    return [tuple(sorted(set_of(m))) for m in out]
 
 
 def oracle(h):

@@ -9,7 +9,7 @@ import time
 import pytest
 
 import transversals as tv
-from transversals import CompressionConfig, enumerate_compression, enumerate_rank3, enumerate_rankk
+from transversals import enumerate_compression, enumerate_rank3, enumerate_rankk
 from transversals.analysis import verify_weights
 
 from helpers import canon, oracle, run
@@ -150,7 +150,7 @@ def test_criterion_6_compression_internals():
         full = [frozenset(t) for t in want]
         outputs = {}
         for alpha in alphas:
-            outputs[alpha] = run(enumerate_compression, h, config=CompressionConfig(alpha=alpha))
+            outputs[alpha] = run(enumerate_compression, h, alpha=alpha)
             assert outputs[alpha] == want, "compression output differs from brute force"
             x = tv.find_split(h, alpha)
             if x is None:

@@ -5,7 +5,8 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import transversals as tv
-from transversals import cli, serialize_hypergraph
+from transversals import bitsets, cli, hypergraph, serialize_hypergraph
+from transversals.bitsets import set_of
 
 from helpers import packed_blocks
 
@@ -43,10 +44,11 @@ class TestEnumerate:
         runs = [[*cmd, str(path), "--algorithm", algorithm] for cmd in commands]
         want = [run_cli(args) for args in runs]
 
-        def partial(inst):
-            raise AssertionError("a leaf built its partial set")
+        def decode(mask):
+            raise AssertionError("a transversal was decoded into a frozenset")
 
-        monkeypatch.setattr(tv.Instance, "partial", property(partial))
+        for module in (bitsets, hypergraph):
+            monkeypatch.setattr(module, "set_of", decode)
         for args, expected in zip(runs, want):
             assert run_cli(args) == expected
             assert expected[0] == 0 and expected[1]
@@ -65,7 +67,7 @@ class TestEnumerate:
         code, out, _ = run_cli(["enumerate", triangle_file])
         assert code == 0
         engine_order = []
-        tv.enumerate_rank3(tv.parse_hypergraph(TRIANGLE_TEXT), engine_order.append)
+        tv.enumerate_rank3(tv.parse_hypergraph(TRIANGLE_TEXT), lambda m: engine_order.append(set_of(m)))
         want = "".join(" ".join(map(str, sorted(t))) + "\n" for t in engine_order)
         assert out == want
 
@@ -107,7 +109,7 @@ class TestLinesAcrossByteBoundaries:
     @pytest.fixture
     def emitted(self, request):
         found = []
-        self.ENGINES[request.param](self.H, found.append)
+        self.ENGINES[request.param](self.H, lambda m: found.append(set_of(m)))
         assert set().union(*found) == {7, 8, 9, 15, 16, 17, 63, 64, 65}
         return request.param, found
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import transversals as tv
 from transversals import (
-    CompressionConfig,
     Hypergraph,
     UnsupportedInstanceError,
     compression,
@@ -18,6 +17,7 @@ from transversals import (
     find_split,
     project,
 )
+from transversals.bitsets import mask_of, set_of
 from transversals.compression import DEFAULT_ALPHA, _first_split, _keeps_minimal, _key_table, _private_edges
 
 from helpers import instance_deck, oracle, packed_blocks, rankk_inner, run
@@ -115,7 +115,7 @@ class TestPhaseOneScan:
             size = math.floor(0.5 * h.n)
             if reference_split(h, size)[0] is not None:
                 continue
-            stats = enumerate_compression(h, lambda t: None, CompressionConfig(alpha=0.5))
+            stats = enumerate_compression(h, lambda t: None, alpha=0.5)
             checked = sum(math.comb(h.n, s) for s in range(size, h.n + 1))
             assert (stats.nodes, stats.leaves, stats.max_depth) == (math.comb(h.n, size) + checked, checked, 0)
             assert stats.outputs == len(oracle(h))
@@ -125,7 +125,7 @@ class TestEnumerate:
     def test_inner_engine_override(self):
         h = Hypergraph(5, [{1, 2, 3}, {3, 4, 5}])
         with rankk_inner():
-            got = run(enumerate_compression, h, config=CompressionConfig(alpha=0.6))
+            got = run(enumerate_compression, h, alpha=0.6)
         assert got == [(1, 4), (1, 5), (2, 4), (2, 5), (3,)]
 
     def test_empty_edge_no_output(self):
@@ -142,7 +142,7 @@ class TestEnumerate:
     def test_phase1_only_path(self):
         # K4 has minimum transversal size 3 > floor(0.5 * 4)
         k4 = Hypergraph(4, [{1, 2}, {1, 3}, {1, 4}, {2, 3}, {2, 4}, {3, 4}])
-        got = run(enumerate_compression, k4, config=CompressionConfig(alpha=0.5))
+        got = run(enumerate_compression, k4, alpha=0.5)
         assert got == [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
 
     def test_edgeless(self):
@@ -157,14 +157,14 @@ class TestEnumerate:
     def test_no_duplicates(self):
         for h in rank4_deck(25):
             out = []
-            enumerate_compression(h, out.append)
+            enumerate_compression(h, lambda m: out.append(set_of(m)))
             as_tuples = [tuple(sorted(t)) for t in out]
             assert len(as_tuples) == len(set(as_tuples))
 
     def test_alpha_does_not_change_output(self):
         for h in rank4_deck(20):
             runs = {
-                alpha: run(enumerate_compression, h, config=CompressionConfig(alpha=alpha))
+                alpha: run(enumerate_compression, h, alpha=alpha)
                 for alpha in (0.5, 0.66938, 0.8)
             }
             assert runs[0.5] == runs[0.66938] == runs[0.8]
@@ -184,22 +184,22 @@ class TestEnumerate:
     def test_emission_order_golden(self):
         h = Hypergraph(7, [{1, 2, 3, 4}, {1, 5, 6, 7}])
         out = []
-        enumerate_compression(h, out.append)
+        enumerate_compression(h, lambda m: out.append(set_of(m)))
         assert [tuple(sorted(t)) for t in out] == [
             (1,), (2, 5), (2, 6), (2, 7), (3, 5), (3, 6), (3, 7), (4, 5), (4, 6), (4, 7),
         ]
 
     def test_alpha_validated(self):
-        with pytest.raises(ValueError):
-            CompressionConfig(alpha=0.4)
-        with pytest.raises(ValueError):
-            CompressionConfig(alpha=1.2)
+        h = Hypergraph(4, [{1, 2, 3, 4}])
+        for alpha in (0.4, 1.2):
+            with pytest.raises(ValueError, match=r"^alpha must lie in \[0\.5, 1\]$"):
+                enumerate_compression(h, lambda t: None, alpha=alpha)
 
     def test_stats_invariants_both_phases(self):
         k4 = Hypergraph(4, [{1, 2}, {1, 3}, {1, 4}, {2, 3}, {2, 4}, {3, 4}])
-        cases = [(k4, CompressionConfig(alpha=0.5))] + [(h, None) for h in rank4_deck(10)]
-        for h, cfg in cases:
-            stats = enumerate_compression(h, lambda t: None, config=cfg)
+        cases = [(k4, 0.5)] + [(h, DEFAULT_ALPHA) for h in rank4_deck(10)]
+        for h, alpha in cases:
+            stats = enumerate_compression(h, lambda t: None, alpha=alpha)
             assert stats.leaves <= stats.nodes
             assert stats.outputs <= stats.leaves
 
@@ -227,22 +227,21 @@ def subsets_of(x):
         yield frozenset(anchor[j] for j in range(len(anchor)) if counter >> j & 1)
 
 
-def unmemoized(h, sink, config=None):
+def unmemoized(h, sink, alpha=DEFAULT_ALPHA):
     """Reference: one inner run per N inside X, with nothing shared between
     subsets that project the same way. The inner engine is read from the
     compression module, so a test that patches it there patches both."""
-    cfg = config or CompressionConfig()
-    x = find_split(h, cfg.alpha)
+    x = find_split(h, alpha)
     if x is None:  # phase 1 alone has no projections to share
-        return enumerate_compression(h, sink, cfg)
-    size = math.floor(cfg.alpha * h.n)
+        return enumerate_compression(h, sink, alpha=alpha)
+    size = math.floor(alpha * h.n)
     scanned = 1 + next(
         i for i, xs in enumerate(combinations(range(1, h.n + 1), size)) if frozenset(xs) == x
     )
     stats = tv.SearchStats(nodes=scanned)
     inner = compression.enumerate_rank3 if h.rank() <= 4 else compression.enumerate_rankk
     for n_sub in subsets_of(x):
-        def emit(y, chosen=n_sub):
+        def emit(y, chosen=mask_of(n_sub)):
             t = chosen | y
             if h.is_minimal_transversal(t):
                 sink(t)
@@ -255,14 +254,14 @@ def unmemoized(h, sink, config=None):
     return stats
 
 
-def trace(engine, h, config=None):
+def trace(engine, h, alpha=DEFAULT_ALPHA):
     out = []
-    stats = engine(h, out.append, config)
+    stats = engine(h, out.append, alpha=alpha)
     return out, (stats.nodes, stats.leaves, stats.max_depth, stats.outputs)
 
 
-def distinct_projections(h, config=None):
-    x = find_split(h, (config or CompressionConfig()).alpha)
+def distinct_projections(h, alpha=DEFAULT_ALPHA):
+    x = find_split(h, alpha)
     return len({project(h, x, n_sub).edges for n_sub in subsets_of(x)})
 
 
@@ -278,21 +277,21 @@ def inner(request):
 
 class TestProjectionMemo:
     @pytest.mark.parametrize(
-        "deck,config,inner",
+        "deck,alpha,inner",
         [
-            (rank4_deck(60), None, "rank3"),
-            (rank4_deck(20), CompressionConfig(alpha=0.5), "rank3"),
-            (rank4_deck(20), CompressionConfig(alpha=0.8), "rank3"),
-            (rank4_deck(20), None, "rankk"),
-            ([RANK5], None, "rank3"),
-            ([tv.gen_lower_bound(4, 13), tv.gen_lower_bound(4, 17)], None, "rank3"),
+            (rank4_deck(60), DEFAULT_ALPHA, "rank3"),
+            (rank4_deck(20), 0.5, "rank3"),
+            (rank4_deck(20), 0.8, "rank3"),
+            (rank4_deck(20), DEFAULT_ALPHA, "rankk"),
+            ([RANK5], DEFAULT_ALPHA, "rank3"),
+            ([tv.gen_lower_bound(4, 13), tv.gen_lower_bound(4, 17)], DEFAULT_ALPHA, "rank3"),
         ],
         ids=["rank4", "alpha-0.5", "alpha-0.8", "rankk-inner", "rank5", "lb4"],
         indirect=["inner"],
     )
-    def test_same_order_and_tree_as_unmemoized(self, deck, config, inner):
+    def test_same_order_and_tree_as_unmemoized(self, deck, alpha, inner):
         for h in deck:
-            assert trace(enumerate_compression, h, config) == trace(unmemoized, h, config)
+            assert trace(enumerate_compression, h, alpha) == trace(unmemoized, h, alpha)
 
     @pytest.mark.parametrize(
         "h", [tv.gen_lower_bound(4, 17), packed_blocks(4, 4, 2)], ids=["lb4-n17", "blocks-4-4-2"]
@@ -333,32 +332,32 @@ class TestProjectionMemo:
 
 
 PHASE2_DECKS = pytest.mark.parametrize(
-    "deck,config,inner",
+    "deck,alpha,inner",
     [
-        (rank4_deck(40), None, "rank3"),
-        (rank4_deck(20), CompressionConfig(alpha=0.5), "rank3"),
-        (rank4_deck(20), CompressionConfig(alpha=0.8), "rank3"),
-        (rank4_deck(20), None, "rankk"),
-        ([RANK5], None, "rank3"),
+        (rank4_deck(40), DEFAULT_ALPHA, "rank3"),
+        (rank4_deck(20), 0.5, "rank3"),
+        (rank4_deck(20), 0.8, "rank3"),
+        (rank4_deck(20), DEFAULT_ALPHA, "rankk"),
+        ([RANK5], DEFAULT_ALPHA, "rank3"),
     ],
     ids=["rank4", "alpha-0.5", "alpha-0.8", "rankk-inner", "rank5"],
     indirect=["inner"],
 )
 
 
-def anchored(deck, config):
+def anchored(deck, alpha):
     """(h, x, anchor-local counters with their N) for every deck input that
     reaches phase 2."""
     for h in deck:
-        x = find_split(h, (config or CompressionConfig()).alpha)
+        x = find_split(h, alpha)
         if x is not None:
             yield h, x, list(enumerate(subsets_of(x)))
 
 
 class TestPhase2Masks:
     @PHASE2_DECKS
-    def test_keys_partition_subsets_like_projections(self, deck, config, inner):
-        for h, x, subsets in anchored(deck, config):
+    def test_keys_partition_subsets_like_projections(self, deck, alpha, inner):
+        for h, x, subsets in anchored(deck, alpha):
             full = (1 << len(x)) - 1
             keys = _key_table(h.edge_masks(), sorted(x))
             by_key, by_projection = defaultdict(set), defaultdict(set)
@@ -368,16 +367,16 @@ class TestPhase2Masks:
             assert sorted(map(sorted, by_key.values())) == sorted(map(sorted, by_projection.values()))
 
     @PHASE2_DECKS
-    def test_member_filter_agrees_with_full_check(self, deck, config, inner):
+    def test_member_filter_agrees_with_full_check(self, deck, alpha, inner):
         verdicts = set()  # the filter both accepts and rejects on every deck
-        for h, x, subsets in anchored(deck, config):
+        for h, x, subsets in anchored(deck, alpha):
             engine = compression.enumerate_rank3 if h.rank() <= 4 else compression.enumerate_rankk
             inc = h._incidence()
             rows = [inc[v] for v in sorted(x)]
             for counter, n_sub in subsets:
                 privs = _private_edges(rows, counter)
                 ys = []
-                engine(project(h, x, n_sub), ys.append)
+                engine(project(h, x, n_sub), lambda m: ys.append(set_of(m)))
                 for y in ys:
                     once_y = 0
                     for v in y:
@@ -407,7 +406,7 @@ def small_hypergraphs(draw):
 @given(h=small_hypergraphs(), alpha=st.sampled_from([0.5, DEFAULT_ALPHA, 1.0]))
 def test_matches_oracle_each_set_once(h, alpha):
     out = []
-    stats = enumerate_compression(h, out.append, CompressionConfig(alpha=alpha))
+    stats = enumerate_compression(h, lambda m: out.append(set_of(m)), alpha=alpha)
     got = [tuple(sorted(t)) for t in out]
     assert len(got) == len(set(got)) == stats.outputs
     assert sorted(got) == oracle(h)
@@ -442,6 +441,6 @@ def test_matches_oracle_each_set_once(h, alpha):
 )
 def test_tree_shape_pinned(h, shape, digest):
     lines = []
-    stats = enumerate_compression(h, lambda t: lines.append(" ".join(map(str, sorted(t))) + "\n"))
+    stats = enumerate_compression(h, lambda m: lines.append(" ".join(map(str, sorted(set_of(m)))) + "\n"))
     assert (stats.nodes, stats.leaves, stats.max_depth, stats.outputs) == shape
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest

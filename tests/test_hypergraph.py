@@ -5,7 +5,7 @@ import pytest
 
 import transversals as tv
 from transversals import Hypergraph, Instance, ParseError, parse_hypergraph, serialize_hypergraph
-from transversals.bitsets import byte_entries, byte_tables, mask_of, set_of
+from transversals.bitsets import byte_entries, byte_tables, iter_bits, mask_of, set_of
 
 from helpers import instance_deck, minimal_by_definition
 
@@ -370,35 +370,35 @@ class TestInstance:
     def test_select_example(self):
         inst = Instance(TRIANGLE)
         after = inst.select(2)
-        assert after.working_edges == {frozenset({1, 3})}
-        assert after.partial == {2}
-        assert after.vertices == {1, 3}
+        assert set(map(set_of, after.emasks)) == {frozenset({1, 3})}
+        assert set_of(after.smask) == {2}
+        assert set_of(after.vmask) == {1, 3}
 
     def test_select_unit(self):
         inst = Instance(Hypergraph(1, [{1}]))
         after = inst.select(1)
-        assert after.working_edges == frozenset()
-        assert after.partial == {1}
+        assert set(map(set_of, after.emasks)) == frozenset()
+        assert set_of(after.smask) == {1}
 
     def test_select_with_prior_partial(self):
         inst = Instance(Hypergraph(9, [{1, 2, 3}]), partial={9})
         after = inst.select(3)
-        assert after.working_edges == frozenset()
-        assert after.partial == {9, 3}
+        assert set(map(set_of, after.emasks)) == frozenset()
+        assert set_of(after.smask) == {9, 3}
 
     def test_discard_example(self):
         inst = Instance(TRIANGLE)
         after = inst.discard(2)
-        assert after.working_edges == {frozenset({1}), frozenset({3}), frozenset({1, 3})}
-        assert after.partial == frozenset()
+        assert set(map(set_of, after.emasks)) == {frozenset({1}), frozenset({3}), frozenset({1, 3})}
+        assert set_of(after.smask) == frozenset()
 
     def test_discard_collapses_duplicates(self):
         inst = Instance(Hypergraph(2, [{1, 2}, {1}]))
-        assert inst.discard(2).working_edges == {frozenset({1})}
+        assert set(map(set_of, inst.discard(2).emasks)) == {frozenset({1})}
 
     def test_discard_to_empty_edge(self):
         inst = Instance(Hypergraph(1, [{1}]))
-        assert inst.discard(1).working_edges == {frozenset()}
+        assert set(map(set_of, inst.discard(1).emasks)) == {frozenset()}
 
     def test_missing_vertex_rejected(self):
         inst = Instance(TRIANGLE).select(1)
@@ -414,16 +414,16 @@ class TestInstance:
     def test_select_discard_commute(self):
         for h in instance_deck(25, nmax=9):
             inst = Instance(h)
-            verts = sorted(inst.vertices)
+            verts = list(iter_bits(inst.vmask))
             for u in verts[:4]:
                 for v in verts[:4]:
                     if u == v:
                         continue
                     a = inst.select(u).discard(v)
                     b = inst.discard(v).select(u)
-                    assert a.working_edges == b.working_edges
-                    assert a.vertices == b.vertices
-                    assert a.partial == b.partial
+                    assert a.emasks == b.emasks
+                    assert a.vmask == b.vmask
+                    assert a.smask == b.smask
 
     def test_eta(self):
         inst = Instance(TRIANGLE)
@@ -433,7 +433,7 @@ class TestInstance:
     def test_branch_equals_chained_select_discard(self):
         for h in instance_deck(20, kmin=1, kmax=4, nmax=6):
             for inst in (Instance(h), Instance(h).select(1)):
-                verts = sorted(inst.vertices)
+                verts = list(iter_bits(inst.vmask))
                 for code in range(3 ** len(verts)):
                     sel = dis = 0
                     chained = inst
@@ -457,7 +457,7 @@ class TestInstance:
 
     def test_drop_edge(self):
         inst = Instance(TRIANGLE)
-        assert inst.drop_edge({1, 2}).working_edges == {frozenset({1, 3}), frozenset({2, 3})}
+        assert set(map(set_of, inst.drop_edge({1, 2}).emasks)) == {frozenset({1, 3}), frozenset({2, 3})}
         assert inst._drop_mask(0b110) == inst.drop_edge({1, 2})
         for drop in (lambda: inst.drop_edge({1, 2, 3}), lambda: inst._drop_mask(0b1110)):
             with pytest.raises(ValueError, match="^no such working edge$"):
@@ -492,7 +492,7 @@ class TestSearchKernel:
         sys.setrecursionlimit(1000)
         try:
             out = []
-            stats = engine(Hypergraph(n, [{v} for v in range(1, n + 1)]), out.append)
+            stats = engine(Hypergraph(n, [{v} for v in range(1, n + 1)]), lambda m: out.append(set_of(m)))
             limit = sys.getrecursionlimit()
         finally:
             sys.setrecursionlimit(old)

@@ -1,6 +1,6 @@
 """The package surface: lazy public names, the CLI's import set, the
-contracts of the value classes SearchStats and CompressionConfig, and the
-syntax floor declared in pyproject.toml."""
+engines' options, the contract of the value class SearchStats, the
+README's library example, and the syntax floor declared in pyproject.toml."""
 
 import ast
 import copy
@@ -46,7 +46,7 @@ HOMES = {
         "BoundsRow", "ConstraintReport", "ConstraintRow", "DEFAULT_WEIGHTS", "Weights", "bounds_table",
         "branching_factor", "format_report", "load_weights", "lower_bound_base", "measure", "verify_weights",
     ],
-    "compression": ["CompressionConfig", "DEFAULT_ALPHA", "enumerate_compression", "find_split", "project"],
+    "compression": ["DEFAULT_ALPHA", "enumerate_compression", "find_split", "project"],
     "errors": ["ParseError", "SearchInvariantError", "UnsupportedInstanceError"],
     "hypergraph": [
         "Hypergraph", "Instance", "SearchStats", "TransversalSink", "parse_hypergraph", "serialize_hypergraph",
@@ -156,7 +156,7 @@ class TestLazyPackage:
             tv.no_such_name  # noqa: B018
         assert not hasattr(tv, "enumerate_everything")
 
-    @pytest.mark.parametrize("name", ["choose_b2", "B2Choice", "relabel"])
+    @pytest.mark.parametrize("name", ["choose_b2", "B2Choice", "relabel", "CompressionConfig"])
     def test_removed_names_raise(self, name):
         with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
             getattr(tv, name)
@@ -177,10 +177,10 @@ class TestLazyPackage:
 
 
 class TestEngineOptions:
-    """Five settable values in all: rank3's check_measure and masks, rankk's
-    masks, compression's alpha (through CompressionConfig) and masks. The
-    inner engine follows from the input rank and the measure check uses
-    the verified weights; neither is an option."""
+    """Two settable values in all: rank3's check_measure and compression's
+    alpha. Every engine hands its sink vertex masks, so no option picks the
+    output type; the inner engine follows from the input rank and the
+    measure check uses the verified weights. None of these is an option."""
 
     @staticmethod
     def shape(fn):
@@ -189,22 +189,25 @@ class TestEngineOptions:
     def test_signatures(self):
         empty = inspect.Parameter.empty
         h, sink = ("h", "POSITIONAL_OR_KEYWORD", empty), ("sink", "POSITIONAL_OR_KEYWORD", empty)
-        masks = ("masks", "KEYWORD_ONLY", False)
-        assert self.shape(tv.enumerate_rank3) == [h, sink, ("check_measure", "KEYWORD_ONLY", False), masks]
-        assert self.shape(tv.enumerate_rankk) == [h, sink, masks]
-        assert self.shape(tv.enumerate_compression) == [h, sink, ("config", "POSITIONAL_OR_KEYWORD", None), masks]
-        assert self.shape(tv.CompressionConfig) == [("alpha", "POSITIONAL_OR_KEYWORD", tv.DEFAULT_ALPHA)]
-        assert tv.CompressionConfig.__slots__ == ("alpha",)
+        assert self.shape(tv.enumerate_rank3) == [h, sink, ("check_measure", "KEYWORD_ONLY", False)]
+        assert self.shape(tv.enumerate_rankk) == [h, sink]
+        assert self.shape(tv.enumerate_compression) == [h, sink, ("alpha", "KEYWORD_ONLY", tv.DEFAULT_ALPHA)]
 
     @pytest.mark.parametrize(
         "call",
         [
-            lambda h: tv.CompressionConfig(alpha=0.5, inner_engine=tv.enumerate_rankk),
-            lambda h: tv.CompressionConfig(0.5, tv.enumerate_rankk),
+            lambda h: tv.enumerate_compression(h, lambda t: None, config=None),
+            lambda h: tv.enumerate_compression(h, lambda t: None, 0.5),
             lambda h: tv.enumerate_compression(h, lambda t: None, inner_engine=tv.enumerate_rankk),
             lambda h: tv.enumerate_rank3(h, lambda t: None, check_measure=True, weights=tv.DEFAULT_WEIGHTS),
+            lambda h: tv.enumerate_rank3(h, lambda t: None, masks=True),
+            lambda h: tv.enumerate_rankk(h, lambda t: None, masks=True),
+            lambda h: tv.enumerate_compression(h, lambda t: None, masks=True),
         ],
-        ids=["config-keyword", "config-positional", "compression", "rank3-weights"],
+        ids=[
+            "config-keyword", "config-positional", "compression", "rank3-weights",
+            "rank3-masks", "rankk-masks", "compression-masks",
+        ],
     )
     def test_removed_options_raise(self, call):
         with pytest.raises(TypeError):
@@ -226,35 +229,19 @@ class TestValueClasses:
         stats.outputs = 2
         assert stats == tv.SearchStats(nodes=5, outputs=2)
 
-    def test_compression_config(self):
-        cfg = tv.CompressionConfig()
-        assert repr(cfg) == "CompressionConfig(alpha=0.66938)"
-        assert cfg == tv.CompressionConfig(0.66938)
-        assert cfg != tv.CompressionConfig(alpha=0.7)
-        assert cfg != (0.66938,)
-        half = tv.CompressionConfig(0.5)
-        assert half == tv.CompressionConfig(alpha=0.5)
-        assert repr(half) == "CompressionConfig(alpha=0.5)"
-        assert hash(cfg) == hash(tv.CompressionConfig()) == hash((0.66938,))
-        assert len({cfg, tv.CompressionConfig(), half}) == 2
-        for alpha in (0.4, 1.2):
-            with pytest.raises(ValueError, match=r"^alpha must lie in \[0\.5, 1\]$"):
-                tv.CompressionConfig(alpha=alpha)
-        with pytest.raises(AttributeError):
-            cfg.alpha = 0.9
-        with pytest.raises(AttributeError):
-            del cfg.alpha
-        assert cfg.alpha == 0.66938
-
     def test_copy_and_pickle_round_trip(self):
-        values = [
-            tv.SearchStats(1, 2, 3, 4),
-            tv.CompressionConfig(0.5),
-        ]
-        for value in values:
-            assert copy.copy(value) == value
-            assert copy.deepcopy(value) == value
-            assert pickle.loads(pickle.dumps(value)) == value
+        value = tv.SearchStats(1, 2, 3, 4)
+        assert copy.copy(value) == value
+        assert copy.deepcopy(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value
+
+
+def test_readme_library_example_runs():
+    # The documented example runs as written, so it follows the engines' sink contract.
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^## Library\n\n```python\n(.*?)^```$", text, re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
 
 
 def test_sources_parse_at_the_declared_python_floor():

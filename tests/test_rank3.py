@@ -4,7 +4,7 @@ import pytest
 
 import transversals as tv
 from transversals import Hypergraph, Instance, enumerate_rank3, next_rule
-from transversals.bitsets import mask_of
+from transversals.bitsets import mask_of, set_of
 from transversals.rank3 import RuleId, apply_rule
 
 from helpers import emitted, instance_deck, no_memo, oracle, run  # noqa: F401 (no_memo is a fixture)
@@ -116,26 +116,26 @@ class TestApplyRule:
     def test_r2_1_branches(self):
         inst = Instance(Hypergraph(2, [{1, 2}]))
         b1, b2 = apply_rule(inst, next_rule(inst))
-        assert b1.partial == {1} and b1.vertices == frozenset()
-        assert b2.partial == {2} and b2.vertices == frozenset()
+        assert set_of(b1.smask) == {1} and set_of(b1.vmask) == frozenset()
+        assert set_of(b2.smask) == {2} and set_of(b2.vmask) == frozenset()
 
     def test_r2_2_three_branches(self):
         inst = Instance(Hypergraph(3, [{1, 2, 3}]))
         children = apply_rule(inst, next_rule(inst))
-        assert [sorted(c.partial) for c in children] == [[1], [2], [3]]
-        assert all(c.working_edges == frozenset() for c in children)
+        assert [sorted(set_of(c.smask)) for c in children] == [[1], [2], [3]]
+        assert all(set(map(set_of, c.emasks)) == frozenset() for c in children)
 
     def test_r4_3_branch_actions(self):
         edges = [{1, 2, 3}, {1, 4, 5}, {2, 4, 6}, {3, 5, 6}]
         inst = Instance(Hypergraph(6, edges))
         rule = next_rule(inst)
         b1, b2, b3 = apply_rule(inst, rule)
-        assert b1.partial == {1, 2}
-        assert 4 not in b1.vertices and 5 not in b1.vertices
-        assert b2.partial == {1}
-        assert 2 not in b2.vertices
-        assert b3.partial == frozenset()
-        assert 1 not in b3.vertices
+        assert set_of(b1.smask) == {1, 2}
+        assert 4 not in set_of(b1.vmask) and 5 not in set_of(b1.vmask)
+        assert set_of(b2.smask) == {1}
+        assert 2 not in set_of(b2.vmask)
+        assert set_of(b3.smask) == frozenset()
+        assert 1 not in set_of(b3.vmask)
 
     def test_halting_tags_on_a_branching_state(self):
         inst = Instance(Hypergraph(2, [{1, 2}]))
@@ -400,7 +400,7 @@ class TestCubicStarInstances:
 )
 def test_tree_shape_pinned(h, shape, tags, digest):
     lines = []
-    stats = enumerate_rank3(h, lambda t: lines.append(" ".join(map(str, sorted(t))) + "\n"))
+    stats = enumerate_rank3(h, lambda m: lines.append(" ".join(map(str, sorted(set_of(m)))) + "\n"))
     assert (stats.nodes, stats.leaves, stats.max_depth, stats.outputs) == shape
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest
     if tags is not None:

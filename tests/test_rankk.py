@@ -150,7 +150,7 @@ def test_shared_hypergraph_concurrent_runs():
     def work(i):
         out = []
         (enumerate_rankk if i % 2 else tv.enumerate_rank3)(h, out.append)
-        results[i] = canon(out)
+        results[i] = canon(map(set_of, out))
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
     for t in threads:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import transversals as tv
 from transversals import Hypergraph, Instance, hypergraph, rank3
-from transversals.bitsets import mask_of
+from transversals.bitsets import mask_of, set_of
 from transversals.hypergraph import search
 from transversals.rank3 import apply_rule, next_rule
 from transversals.rankk import _branch_step, _subsumed
@@ -142,7 +142,7 @@ def test_unit_chain_with_tiny_budget_leaves_recursion_limit_alone(engine, monkey
     sys.setrecursionlimit(200)
     try:
         out = []
-        stats = engine(Hypergraph(n, [{v} for v in range(1, n + 1)]), out.append)
+        stats = engine(Hypergraph(n, [{v} for v in range(1, n + 1)]), lambda m: out.append(set_of(m)))
         limit = sys.getrecursionlimit()
     finally:
         sys.setrecursionlimit(old)
@@ -205,7 +205,7 @@ def test_carried_fold_from_a_partial_root(n, monkeypatch):
     h = Hypergraph(n, [e - partial for e in drawn.edges if e - partial])
     leaf_graph = Hypergraph(n, [*h.edges, *({p} for p in partial)])
     found = []
-    tv.enumerate_rankk(h, found.append, masks=True)
+    tv.enumerate_rankk(h, found.append)
     want = sorted(pm | m for m in found)
     for step, carry in ((rank3_step, None), (_branch_step(), _subsumed(frozenset(h.edge_masks())))):
         for budget in BUDGETS:
