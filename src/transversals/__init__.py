@@ -36,6 +36,7 @@ _HOMES = {
         "Instance",
         "SearchStats",
         "TransversalSink",
+        "count_only",
         "parse_hypergraph",
         "serialize_hypergraph",
     ),

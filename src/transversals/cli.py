@@ -22,7 +22,7 @@ import time
 from .bitsets import byte_entries, byte_tables, edge_key, iter_bits, mask_of
 from .compression import DEFAULT_ALPHA, _check_alpha, enumerate_compression
 from .errors import ParseError, SearchInvariantError, UnsupportedInstanceError
-from .hypergraph import Hypergraph, SearchStats, parse_hypergraph, serialize_hypergraph
+from .hypergraph import Hypergraph, SearchStats, count_only, parse_hypergraph, serialize_hypergraph
 from .rank3 import enumerate_rank3
 from .rankk import enumerate_rankk
 
@@ -133,7 +133,7 @@ def _cmd_enumeration(args: argparse.Namespace) -> int:
         else:
             stats = _run_engine(algorithm, h, args.alpha, lambda m: out.write(line(m)))
     elif args.command == "count":
-        stats = _run_engine(algorithm, h, args.alpha, lambda m: None)
+        stats = _run_engine(algorithm, h, args.alpha, count_only)
         out.write(f"{stats.outputs}\n")
     elif args.command in ("minimum", "count-minimum"):
         best: int | None = None  # the first transversal of minimum size
@@ -154,7 +154,7 @@ def _cmd_enumeration(args: argparse.Namespace) -> int:
             out.write(line(best))
     else:  # bench
         started = time.perf_counter()
-        stats = _run_engine(algorithm, h, args.alpha, lambda m: None)
+        stats = _run_engine(algorithm, h, args.alpha, count_only)
         elapsed = time.perf_counter() - started
         out.write(
             f"algorithm={algorithm} n={h.n} edges={len(h.edge_masks())} rank={h.rank()} "

@@ -89,7 +89,11 @@ def _first_split(h: Hypergraph, size: int) -> tuple[tuple[int, ...] | None, int]
 
 
 def find_split(h: Hypergraph, alpha: float = DEFAULT_ALPHA) -> frozenset[int] | None:
-    """First transversal of size exactly floor(alpha*n) in lexicographic order."""
+    """First transversal of size exactly floor(alpha*n) in lexicographic order.
+
+    alpha must lie in [0.5, 1], as for `enumerate_compression`.
+    """
+    _check_alpha(alpha)
     xs = _first_split(h, math.floor(alpha * h.n))[0]
     return None if xs is None else frozenset(xs)
 

@@ -18,7 +18,8 @@ engine's sink gets masks; `bitsets.set_of` decodes one into a frozenset.
 As the branching rules never read the partial set, the kernel expands
 each distinct working state once per run and replays its children. It
 carries each partial set's fold down the tree, so a leaf's check folds
-nothing.
+nothing. Handed the sink `count_only`, it walks in `counting` instead,
+which adds a repeated subtree's counters from a stored summary.
 """
 
 from __future__ import annotations
@@ -318,6 +319,45 @@ BranchStep = Callable[[Instance, Any], list[tuple[Instance, Any]]]
 _MEMO_MASKS = 1 << 17
 
 
+def count_only(mask: int) -> None:
+    """The sink that reads nothing, and the one sink `search` recognises:
+    an engine handed it returns the same stats without walking the
+    subtrees it has already counted."""
+
+
+def _expansion(branch, leaf_graph):
+    """One run's memo and its steps fold_of and expand, for `search` and `counting`."""
+    memo = {}
+    room = _MEMO_MASKS
+
+    def fold_of(m: int) -> tuple:
+        """leaf_graph._fold(m), its rows a tuple; one vertex or none reads no table."""
+        if m & (m - 1):
+            once, twice, rows = leaf_graph._fold(m)
+            return once, twice, tuple(rows)
+        rows = (leaf_graph._incidence()[m.bit_length() - 1],) if m else ()
+        return sum(rows), 0, rows  # once is the one row, or 0
+
+    def expand(inst, s, carry, key):
+        nonlocal room
+        if inst.smask != s:
+            inst = inst._spawn(inst.vmask, inst.emasks, s)
+        bound = inst.eta() - 1
+        children = []
+        for child, value in branch(inst, carry):
+            if child.eta() > bound:
+                raise SearchInvariantError(f"|V|+|E| did not decrease at {inst!r}")
+            delta = child.smask ^ s
+            children.append((child, delta, value, fold_of(delta)))
+        children.reverse()
+        if len(inst.emasks) <= room:
+            memo[key] = children
+            room -= len(inst.emasks)
+        return children
+
+    return memo, fold_of, expand
+
+
 def search(
     root: Instance,
     branch: BranchStep,
@@ -348,19 +388,16 @@ def search(
     and the members' rows), and each stored child the fold of the
     vertices it adds, so a push folds only those in and a leaf's check
     reads its fold instead of folding S again.
+
+    With sink `count_only`, `counting.count` gives the same stats and
+    adds each repeated subtree's counters from a summary instead.
     """
+    if sink is count_only:
+        from .counting import count
+
+        return count(root, branch, leaf_graph, carry)
     nodes = leaves = max_depth = outputs = 0
-    memo: dict[tuple[int, frozenset[int]], list[tuple[Instance, int, Any, tuple]]] = {}
-    room = _MEMO_MASKS
-
-    def fold_of(m: int) -> tuple:
-        """leaf_graph._fold(m), its rows a tuple; one vertex or none reads no table."""
-        if m & (m - 1):
-            once, twice, rows = leaf_graph._fold(m)
-            return once, twice, tuple(rows)
-        rows = (leaf_graph._incidence()[m.bit_length() - 1],) if m else ()
-        return sum(rows), 0, rows  # once is the one row, or 0
-
+    memo, fold_of, expand = _expansion(branch, leaf_graph)
     stack = [(root, root.smask, carry, 0, fold_of(root.smask))]
     pop, push = stack.pop, stack.append
     while stack:
@@ -382,19 +419,7 @@ def search(
         key = (inst.vmask, edges)
         children = memo.get(key)
         if children is None:
-            if inst.smask != s:
-                inst = inst._spawn(inst.vmask, edges, s)
-            bound = inst.eta() - 1
-            children = []
-            for child, value in branch(inst, carry):
-                if child.eta() > bound:
-                    raise SearchInvariantError(f"|V|+|E| did not decrease at {inst!r}")
-                delta = child.smask ^ s
-                children.append((child, delta, value, fold_of(delta)))
-            children.reverse()
-            if len(edges) <= room:
-                memo[key] = children
-                room -= len(edges)
+            children = expand(inst, s, carry, key)
         once, twice, rows = fold
         for child, delta, value, (o, t, r) in children:
             push((child, s | delta, value, depth, (once | o, twice | t | (once & o), rows + r)))

@@ -76,6 +76,13 @@ class TestFindSplit:
         k4 = Hypergraph(4, [{1, 2}, {1, 3}, {1, 4}, {2, 3}, {2, 4}, {3, 4}])
         assert find_split(k4, 0.5) is None  # no 2-subset covers all six pairs
 
+    def test_alpha_validated(self):
+        # Without the check, alpha=2.0 asks for a 28-subset of 14 vertices and finds none.
+        h = tv.gen_lower_bound(4, 14)
+        for alpha in (0.4, 2.0):
+            with pytest.raises(ValueError, match=r"^alpha must lie in \[0\.5, 1\]$"):
+                find_split(h, alpha)
+
 
 def reference_split(h, size):
     """The phase-1 scan over vertex tuples: the first transversal and its 1-based position."""

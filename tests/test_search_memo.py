@@ -239,3 +239,79 @@ def test_fold_runs_once_per_stored_child_adding_two_or_more_vertices(monkeypatch
     stats = tv.enumerate_rank3(tv.gen_lower_bound(3, 15), lambda t: None)
     assert (stats.nodes, stats.leaves) == (2123, 1000)
     assert folds == multi == 20
+
+
+def assert_count_only_matches_the_walk(h, monkeypatch):
+    """count_only gives the stats of a walk with a no-op sink, at every budget."""
+    for name, engine in engines(h).items():
+        if name.startswith("compression"):  # its inner runs have their own sink
+            continue
+        for budget in (DEFAULT, 8, 1, 0):
+            monkeypatch.setattr(hypergraph, "_MEMO_MASKS", budget)
+            assert engine(h, hypergraph.count_only) == engine(h, lambda m: None), (name, budget)
+
+
+def count_deck():
+    """The memo deck plus deep trees whose subtrees repeat under many partial sets.
+
+    On the two seeded random inputs a subtree is counted from its summary
+    deeper than where it was walked, and that sets max_depth.
+    """
+    return [
+        *deck(),
+        tv.gen_lower_bound(3, 12),
+        tv.gen_lower_bound(3, 13),
+        *instance_deck(6, kmin=3, kmax=3, nmax=24),
+        tv.gen_random(tv.GeneratorSpec("random", k=3, n=21, m=25, seed=273)),
+        tv.gen_random(tv.GeneratorSpec("random", k=6, n=17, m=33, seed=297)),
+    ]
+
+
+@pytest.mark.parametrize("h", count_deck())
+def test_count_only_gives_the_walks_stats(h, monkeypatch):
+    assert_count_only_matches_the_walk(h, monkeypatch)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hypergraphs())
+def test_count_only_gives_the_walks_stats_generated(h):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_count_only_matches_the_walk(h, monkeypatch)
+
+
+@pytest.mark.parametrize("n", [9, 16, 17])
+def test_count_only_from_a_partial_root(n, monkeypatch):
+    partial = {1, 8, n}
+    drawn = tv.gen_random(tv.GeneratorSpec("random", k=3, n=n, m=2 * n, seed=n))
+    h = Hypergraph(n, [e - partial for e in drawn.edges if e - partial])
+    leaf_graph = Hypergraph(n, [*h.edges, *({p} for p in partial)])
+    for step, carry in ((rank3_step, None), (_branch_step(), _subsumed(frozenset(h.edge_masks())))):
+        for budget in (DEFAULT, 8, 1, 0):
+            monkeypatch.setattr(hypergraph, "_MEMO_MASKS", budget)
+            root = Instance(h, vertices=set(range(1, n + 1)) - partial, partial=partial)
+            walked = search(root, step, leaf_graph, lambda m: None, carry)
+            assert search(root, step, leaf_graph, hypergraph.count_only, carry) == walked
+            assert walked.outputs > 0
+
+
+def test_count_only_checks_leaves_only_outside_repeated_subtrees(monkeypatch):
+    calls = 0
+    check = Hypergraph.is_minimal_transversal
+
+    def counted(self, s, fold=None):
+        nonlocal calls
+        calls += 1
+        return check(self, s, fold=fold)
+
+    monkeypatch.setattr(Hypergraph, "is_minimal_transversal", counted)
+    h = tv.gen_lower_bound(3, 15)
+    for sink, want in ((hypergraph.count_only, 41), (lambda m: None, 1000)):
+        calls = 0
+        assert tv.enumerate_rank3(h, sink) == tv.SearchStats(2123, 1000, 24, 1000)
+        assert calls == want
+
+
+def test_count_only_keeps_the_invariant_check(monkeypatch):
+    monkeypatch.setattr(Instance, "branch", lambda self, sel, dis: self)
+    with pytest.raises(tv.SearchInvariantError):
+        tv.enumerate_rankk(Hypergraph(3, [{1, 2}, {2, 3}, {1, 3}]), hypergraph.count_only)
