@@ -18,13 +18,15 @@ engine's sink gets masks; `bitsets.set_of` decodes one into a frozenset.
 As the branching rules never read the partial set, the kernel expands
 each distinct working state once per run and replays its children. It
 carries each partial set's fold down the tree, so a leaf's check folds
-nothing. Handed the sink `count_only`, it walks in `counting` instead,
-which adds a repeated subtree's counters from a stored summary.
+nothing. Handed the sink `count_only`, the same walk adds a repeated
+subtree's counters from a stored summary instead of walking it again.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
+from itertools import filterfalse
+from operator import index
 from typing import Any
 
 from .bitsets import byte_entries, byte_tables, edge_key, iter_bits, mask_of, set_of
@@ -51,7 +53,7 @@ class Hypergraph:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         self.n = n
-        masks = {self._vertex_mask(map(int, e)) for e in edges}
+        masks = {self._vertex_mask(e) for e in edges}
         self._masks: tuple[int, ...] = tuple(sorted(masks, key=edge_key))
         self._inc: tuple[int, ...] | None = None
         self._folds: list[dict[int, tuple[int, int, tuple[int, ...]]]] | None = None
@@ -89,8 +91,9 @@ class Hypergraph:
         return self._masks
 
     def _vertex_mask(self, vertices: Iterable[int]) -> int:
+        """The mask of vertices; TypeError on a non-integral id, ValueError on one outside 1..n."""
         m = 0
-        for v in vertices:
+        for v in map(index, vertices):
             if not 1 <= v <= self.n:
                 raise ValueError(f"vertex {v} out of range 1..{self.n}")
             m |= 1 << v
@@ -325,37 +328,14 @@ def count_only(mask: int) -> None:
     subtrees it has already counted."""
 
 
-def _expansion(branch, leaf_graph):
-    """One run's memo and its steps fold_of and expand, for `search` and `counting`."""
-    memo = {}
-    room = _MEMO_MASKS
-
-    def fold_of(m: int) -> tuple:
-        """leaf_graph._fold(m), its rows a tuple; one vertex or none reads no table."""
-        if m & (m - 1):
-            once, twice, rows = leaf_graph._fold(m)
-            return once, twice, tuple(rows)
-        rows = (leaf_graph._incidence()[m.bit_length() - 1],) if m else ()
-        return sum(rows), 0, rows  # once is the one row, or 0
-
-    def expand(inst, s, carry, key):
-        nonlocal room
-        if inst.smask != s:
-            inst = inst._spawn(inst.vmask, inst.emasks, s)
-        bound = inst.eta() - 1
-        children = []
-        for child, value in branch(inst, carry):
-            if child.eta() > bound:
-                raise SearchInvariantError(f"|V|+|E| did not decrease at {inst!r}")
-            delta = child.smask ^ s
-            children.append((child, delta, value, fold_of(delta)))
-        children.reverse()
-        if len(inst.emasks) <= room:
-            memo[key] = children
-            room -= len(inst.emasks)
-        return children
-
-    return memo, fold_of, expand
+def _crit_key(leaf_graph: Hypergraph, vmask: int, fold: tuple) -> tuple[int, ...] | None:
+    """K for working vertices vmask and S's fold: the private edges of S's members
+    inside U, the edges V can hit, ascending (they are disjoint); None if a member has none."""
+    privs = list(map((~fold[1]).__and__, fold[2]))
+    if not all(privs):
+        return None
+    outside = ~leaf_graph._fold(vmask)[0]  # the edges that no vertex of V can hit
+    return tuple(sorted(filterfalse(outside.__and__, privs)))
 
 
 def search(
@@ -389,41 +369,98 @@ def search(
     vertices it adds, so a push folds only those in and a leaf's check
     reads its fold instead of folding S again.
 
-    With sink `count_only`, `counting.count` gives the same stats and
-    adds each repeated subtree's counters from a summary instead.
+    With sink `count_only` the same walk skips the subtrees it has
+    counted. A leaf S | T below a state (V, E) is a minimal transversal
+    iff (a) each t in T has an edge of E that T meets only in t, which
+    depends on (V, E) and T alone, and (b) each member of S keeps a
+    private edge that T misses. T hits only edges in U, the OR of V's
+    incidence rows, so (b) reads S only through K, the private edges of
+    S's members that lie wholly inside U, and fails for every T when a
+    member has none: the "crit" test of Murakami and Uno (DAM 2014). A
+    subtree's nodes, leaves, height and outputs are thus functions of
+    (V, E, K). At the second visit of a state the memo stores, a marker
+    goes under its children; when it pops, the counters since the state
+    opened are stored under (its stored children, K), and later visits
+    with that key add them instead of walking. The summaries have their
+    own budget of _MEMO_MASKS units, one plus |K| each.
     """
-    if sink is count_only:
-        from .counting import count
+    counting = sink is count_only
+    memo = {}
+    # (id of a state's stored children, K) -> (nodes, leaves, height, outputs) of its
+    # subtree. The memo keeps each stored list alive for the run, so its id names a state.
+    sums: dict[tuple[int, tuple[int, ...] | None], tuple[int, int, int, int]] = {}
+    room = sum_room = _MEMO_MASKS
+    nodes = leaves = outputs = 0
+    deep = 0  # the greatest depth seen since the innermost open marker (none open: in the run)
 
-        return count(root, branch, leaf_graph, carry)
-    nodes = leaves = max_depth = outputs = 0
-    memo, fold_of, expand = _expansion(branch, leaf_graph)
+    def fold_of(m: int) -> tuple:
+        """leaf_graph._fold(m), its rows a tuple; one vertex or none reads no table."""
+        if m & (m - 1):
+            once, twice, rows = leaf_graph._fold(m)
+            return once, twice, tuple(rows)
+        rows = (leaf_graph._incidence()[m.bit_length() - 1],) if m else ()
+        return sum(rows), 0, rows  # once is the one row, or 0
+
     stack = [(root, root.smask, carry, 0, fold_of(root.smask))]
     pop, push = stack.pop, stack.append
     while stack:
         inst, s, carry, depth, fold = pop()
-        nodes += 1
-        if depth > max_depth:
-            max_depth = depth
+        if inst is None:  # a marker: s is the summary's key, fold the counters at open
+            n0, l0, o0, deep0 = fold
+            sums[s] = (nodes - n0, leaves - l0, deep - depth, outputs - o0)
+            if deep0 > deep:
+                deep = deep0
+            continue
         edges = inst.emasks
-        if not edges:
+        if not edges or 0 in edges:
+            nodes += 1
             leaves += 1
-            if leaf_graph.is_minimal_transversal(s, fold=fold):
+            if depth > deep:
+                deep = depth
+            if not edges and leaf_graph.is_minimal_transversal(s, fold=fold):
                 sink(s)
                 outputs += 1
             continue
-        if 0 in edges:
-            leaves += 1
-            continue
-        depth += 1
         key = (inst.vmask, edges)
         children = memo.get(key)
         if children is None:
-            children = expand(inst, s, carry, key)
+            if inst.smask != s:
+                inst = inst._spawn(inst.vmask, edges, s)
+            bound = inst.eta() - 1
+            children = []
+            for child, value in branch(inst, carry):
+                if child.eta() > bound:
+                    raise SearchInvariantError(f"|V|+|E| did not decrease at {inst!r}")
+                delta = child.smask ^ s
+                children.append((child, delta, value, fold_of(delta)))
+            children.reverse()
+            if len(edges) <= room:
+                memo[key] = children
+                room -= len(edges)
+        elif counting:
+            k = _crit_key(leaf_graph, inst.vmask, fold)
+            summary = (id(children), k)
+            got = sums.get(summary)
+            if got is not None:
+                nodes += got[0]
+                leaves += got[1]
+                if depth + got[2] > deep:
+                    deep = depth + got[2]
+                outputs += got[3]
+                continue
+            cost = 1 if k is None else 1 + len(k)
+            if cost <= sum_room:
+                sum_room -= cost
+                push((None, summary, None, depth, (nodes, leaves, outputs, deep)))
+                deep = depth
+        nodes += 1
+        if depth > deep:
+            deep = depth
+        depth += 1
         once, twice, rows = fold
         for child, delta, value, (o, t, r) in children:
             push((child, s | delta, value, depth, (once | o, twice | t | (once & o), rows + r)))
-    return SearchStats(nodes, leaves, max_depth, outputs)
+    return SearchStats(nodes, leaves, deep, outputs)
 
 
 def parse_hypergraph(text: str) -> Hypergraph:

@@ -83,6 +83,28 @@ class TestHypergraph:
         with pytest.raises(ValueError):
             Hypergraph(2, [{0}])
 
+    @pytest.mark.parametrize("bad", [1.5, 2.0, "2"])
+    def test_non_integral_vertex_rejected(self, bad):
+        # Vertex ids go through operator.index: no truncation, no parsing.
+        with pytest.raises(TypeError):
+            Hypergraph(3, [[bad, 3]])
+        with pytest.raises(TypeError):
+            TRIANGLE.is_transversal([bad, 3])
+        with pytest.raises(TypeError):
+            TRIANGLE.is_minimal_transversal([bad, 3])
+        with pytest.raises(TypeError):
+            Instance(TRIANGLE, partial=[bad])
+        with pytest.raises(TypeError):
+            Instance(TRIANGLE, vertices=[1, bad])
+
+    def test_integral_vertex_types_accepted(self):
+        class Index:
+            def __index__(self):
+                return 2
+
+        assert Hypergraph(3, [[Index(), 3]]) == Hypergraph(3, [{2, 3}])
+        assert Instance(Hypergraph(3, [{1, 3}]), partial=[Index()]).smask == 1 << 2
+
 
 def mask_constructor_cases():
     return instance_deck(60, kmin=1, kmax=6) + [

@@ -85,6 +85,7 @@ def test_deck_covers_ranks_empty_edges_and_isolated_vertices():
 
 
 def test_next_rule_runs_once_per_distinct_state(monkeypatch):
+    # Counting mode expands no state that the reading walk would not.
     calls = 0
 
     def counted(inst):
@@ -94,12 +95,13 @@ def test_next_rule_runs_once_per_distinct_state(monkeypatch):
 
     monkeypatch.setattr(rank3, "next_rule", counted)
     h = tv.gen_lower_bound(3, 15)
-    for budget, want in ((DEFAULT, 89), (0, 1123)):
-        monkeypatch.setattr(hypergraph, "_MEMO_MASKS", budget)
-        calls = 0
-        stats = tv.enumerate_rank3(h, lambda t: None)
-        assert (stats.nodes, stats.leaves) == (2123, 1000)
-        assert calls == want
+    for sink in (lambda m: None, hypergraph.count_only):
+        for budget, want in ((DEFAULT, 89), (0, 1123)):
+            monkeypatch.setattr(hypergraph, "_MEMO_MASKS", budget)
+            calls = 0
+            stats = tv.enumerate_rank3(h, sink)
+            assert (stats.nodes, stats.leaves) == (2123, 1000)
+            assert calls == want, (sink, budget)
 
 
 def rank3_step(inst, _):
