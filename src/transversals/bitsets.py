@@ -25,9 +25,28 @@ def set_of(mask: int) -> frozenset[int]:
     return frozenset(iter_bits(mask))
 
 
-def edge_key(mask: int) -> tuple[int, ...]:
-    """Sort key realizing the canonical edge order (ascending vertex lists)."""
-    return tuple(iter_bits(mask))
+#: Each byte value with its bits in reverse order.
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def edge_key(mask: int) -> tuple[bytes, int]:
+    """Sort key realizing the canonical edge order: masks sort as their
+    ascending vertex lists, `tuple(iter_bits(mask))`, do, without building
+    the lists.
+
+    Two ascending lists first differ at the least vertex d that only one
+    of them holds. That one is the smaller, unless the other ends below d
+    and so is a prefix of it. A list's gaps, the vertices below its last
+    one that it misses, give the same order: where two lists' gaps first
+    differ, the list whose gaps hold that vertex is the larger; equal gaps
+    mean that one list extends the other, and the shorter, with the
+    smaller bit length, is the smaller. The key is the gaps as bytes, the
+    least vertex in the high bit of the first byte, so that bytes order
+    compares them from the least vertex up; then the bit length.
+    """
+    top = mask.bit_length()
+    gaps = ((1 << top) - 1 >> 1) & ~mask
+    return gaps.to_bytes((gaps.bit_length() + 7) >> 3, "little").translate(_REVERSED), top
 
 
 def byte_tables(n: int) -> list[dict[int, _T]]:

@@ -18,8 +18,10 @@ engine's sink gets masks; `bitsets.set_of` decodes one into a frozenset.
 As the branching rules never read the partial set, the kernel expands
 each distinct working state once per run and replays its children. It
 carries each partial set's fold down the tree, so a leaf's check folds
-nothing. Handed the sink `count_only`, the same walk adds a repeated
-subtree's counters from a stored summary instead of walking it again.
+nothing. A repeated subtree whose results are known is not walked again:
+handed the sink `count_only`, the walk adds its counters from a stored
+summary, and handed any other sink, it also replays the subtree's stored
+outputs onto the partial set of the visit.
 """
 
 from __future__ import annotations
@@ -321,6 +323,10 @@ BranchStep = Callable[[Instance, Any], list[tuple[Instance, Any]]]
 #: one run's memo; past it, new states are expanded but not stored.
 _MEMO_MASKS = 1 << 17
 
+#: The most outputs of one subtree that a run with a reading sink stores
+#: for replay. A subtree with more leaves than this is always walked.
+_REPLAY_CAP = 1 << 12
+
 
 def count_only(mask: int) -> None:
     """The sink that reads nothing, and the one sink `search` recognises:
@@ -328,14 +334,21 @@ def count_only(mask: int) -> None:
     subtrees it has already counted."""
 
 
-def _crit_key(leaf_graph: Hypergraph, vmask: int, fold: tuple) -> tuple[int, ...] | None:
-    """K for working vertices vmask and S's fold: the private edges of S's members
-    inside U, the edges V can hit, ascending (they are disjoint); None if a member has none."""
-    privs = list(map((~fold[1]).__and__, fold[2]))
-    if not all(privs):
-        return None
-    outside = ~leaf_graph._fold(vmask)[0]  # the edges that no vertex of V can hit
-    return tuple(sorted(filterfalse(outside.__and__, privs)))
+def _crit_key(outside: int, fold: tuple) -> tuple[int, ...] | None:
+    """K for S's fold at a state whose working vertices cannot hit the edges of outside:
+    the private edges of S's members inside U = ~outside, ascending (they are disjoint);
+    None if a member has none."""
+    once, twice, rows = fold
+    single = once & ~twice  # the edges S hits once: the union of its members' private edges
+    spared = single & outside  # a member that hits one of these keeps a private edge below
+    k = sorted(map(single.__and__, filterfalse(spared.__and__, rows)))
+    return tuple(k) if all(k) else None
+
+
+def _xor_each(packed: bytes, mask: int, width: int) -> bytes:
+    """packed, a run of width-byte little-endian masks, with mask XORed into each of them."""
+    pattern = int.from_bytes(mask.to_bytes(width, "little") * (len(packed) // width), "little")
+    return (int.from_bytes(packed, "little") ^ pattern).to_bytes(len(packed), "little")
 
 
 def search(
@@ -359,9 +372,8 @@ def search(
     By BranchStep's contract equal (vmask, emasks) have equal subtrees,
     so each distinct state is expanded once (while the memo has room,
     _MEMO_MASKS): its children are stored in push order with the vertices
-    each adds to S, and later visits replay them onto their own S. Every
-    visit and leaf is still counted, checked and emitted. A state that
-    reaches branch is first rebuilt with its true S.
+    each adds to S, and later visits replay them onto their own S. A
+    state that reaches branch is first rebuilt with its true S.
 
     Each stack entry also carries S's fold over leaf_graph's incidence
     rows (`Hypergraph._fold`: the edges hit once or more, twice or more,
@@ -369,29 +381,43 @@ def search(
     vertices it adds, so a push folds only those in and a leaf's check
     reads its fold instead of folding S again.
 
-    With sink `count_only` the same walk skips the subtrees it has
-    counted. A leaf S | T below a state (V, E) is a minimal transversal
-    iff (a) each t in T has an edge of E that T meets only in t, which
-    depends on (V, E) and T alone, and (b) each member of S keeps a
-    private edge that T misses. T hits only edges in U, the OR of V's
-    incidence rows, so (b) reads S only through K, the private edges of
-    S's members that lie wholly inside U, and fails for every T when a
-    member has none: the "crit" test of Murakami and Uno (DAM 2014). A
-    subtree's nodes, leaves, height and outputs are thus functions of
-    (V, E, K). At the second visit of a state the memo stores, a marker
-    goes under its children; when it pops, the counters since the state
-    opened are stored under (its stored children, K), and later visits
-    with that key add them instead of walking. The summaries have their
-    own budget of _MEMO_MASKS units, one plus |K| each.
+    A repeated subtree is not walked again once its results are known. A
+    leaf S | T below a state (V, E) is a minimal transversal iff (a) each
+    t in T has an edge of E that T meets only in t, which depends on
+    (V, E) and T alone, and (b) each member of S keeps a private edge
+    that T misses. T hits only edges in U, the OR of V's incidence rows,
+    so (b) reads S only through K, the private edges of S's members that
+    lie wholly inside U, and fails for every T when a member has none:
+    the "crit" test of Murakami and Uno (DAM 2014). A subtree's nodes,
+    leaves and height, its outputs' T masks and their preorder are thus
+    functions of (V, E, K). At the second visit of a state the memo
+    stores, a marker goes under its children; when it pops, the counters
+    since the state opened are stored under (its stored children, K).
+    With sink `count_only`, later visits with that key add them instead
+    of walking. With any other sink, a later visit with that key records
+    the T masks it emits, packed, when the subtree has at most
+    _REPLAY_CAP leaves, and the visits after it hand the sink S | T for
+    each stored T and add the counters; a subtree that emits nothing is
+    skipped at once. So every leaf outside the skipped subtrees is still
+    checked, and the stats and the emitted sequence are those of the
+    full walk. Summaries and T lists share a budget of _MEMO_MASKS
+    units: one plus |K| per summary, and the 8-byte words of each list.
     """
     counting = sink is count_only
     memo = {}
-    # (id of a state's stored children, K) -> (nodes, leaves, height, outputs) of its
-    # subtree. The memo keeps each stored list alive for the run, so its id names a state.
-    sums: dict[tuple[int, tuple[int, ...] | None], tuple[int, int, int, int]] = {}
+    # id of a stored state's children -> the edges its working vertices cannot hit (~U),
+    # or 0 once a reading run has seen its subtree hold more than _REPLAY_CAP leaves.
+    # The memo keeps each stored list alive for the run, so its id names a state.
+    reach: dict[int, int] = {}
+    # (id of a stored state's children, K) -> (nodes, leaves, height, outputs, ts) of its
+    # subtree, where ts packs the outputs' T masks, width bytes each, or is None until recorded
+    sums: dict[tuple[int, tuple[int, ...] | None], tuple[int, int, int, int, bytes | None]] = {}
     room = sum_room = _MEMO_MASKS
     nodes = leaves = outputs = 0
-    deep = 0  # the greatest depth seen since the innermost open marker (none open: in the run)
+    deep = 0  # the greatest depth seen since the innermost open summary (none open: in the run)
+    width = (leaf_graph.n >> 3) + 1
+    emitted = bytearray()  # the masks emitted since the outermost open recording opened, packed
+    recording = 0  # how many recordings are open
 
     def fold_of(m: int) -> tuple:
         """leaf_graph._fold(m), its rows a tuple; one vertex or none reads no table."""
@@ -405,11 +431,19 @@ def search(
     pop, push = stack.pop, stack.append
     while stack:
         inst, s, carry, depth, fold = pop()
-        if inst is None:  # a marker: s is the summary's key, fold the counters at open
-            n0, l0, o0, deep0 = fold
-            sums[s] = (nodes - n0, leaves - l0, deep - depth, outputs - o0)
-            if deep0 > deep:
-                deep = deep0
+        if inst is None:  # a marker: s is a summary's key
+            if carry is None:  # it closes the summary; fold holds the counters at open
+                n0, l0, o0, deep0 = fold
+                sums[s] = (nodes - n0, leaves - l0, deep - depth, outputs - o0, None)
+                if leaves - l0 > _REPLAY_CAP and not counting:
+                    reach[s[0]] = 0  # outputs <= leaves, so no K of this state will replay
+                if deep0 > deep:
+                    deep = deep0
+            else:  # it closes a recording: carry is where it opened in emitted, fold its S
+                sums[s] = (*sums[s][:4], _xor_each(emitted[carry:], fold, width))
+                recording -= 1
+                if not recording:
+                    emitted.clear()
             continue
         edges = inst.emasks
         if not edges or 0 in edges:
@@ -420,6 +454,8 @@ def search(
             if not edges and leaf_graph.is_minimal_transversal(s, fold=fold):
                 sink(s)
                 outputs += 1
+                if recording:
+                    emitted += s.to_bytes(width, "little")
             continue
         key = (inst.vmask, edges)
         children = memo.get(key)
@@ -437,22 +473,38 @@ def search(
             if len(edges) <= room:
                 memo[key] = children
                 room -= len(edges)
-        elif counting:
-            k = _crit_key(leaf_graph, inst.vmask, fold)
-            summary = (id(children), k)
-            got = sums.get(summary)
-            if got is not None:
-                nodes += got[0]
-                leaves += got[1]
-                if depth + got[2] > deep:
-                    deep = depth + got[2]
-                outputs += got[3]
-                continue
-            cost = 1 if k is None else 1 + len(k)
-            if cost <= sum_room:
-                sum_room -= cost
-                push((None, summary, None, depth, (nodes, leaves, outputs, deep)))
-                deep = depth
+        else:
+            outside = reach.get(id(children))
+            if outside is None:
+                outside = reach[id(children)] = ~leaf_graph._fold(inst.vmask)[0]
+            if outside:
+                summary = (id(children), _crit_key(outside, fold))
+                got = sums.get(summary)
+                if got is None:
+                    cost = 1 + len(summary[1] or ())
+                    if cost <= sum_room:
+                        sum_room -= cost
+                        push((None, summary, None, depth, (nodes, leaves, outputs, deep)))
+                        deep = depth
+                elif counting or not got[3] or got[4] is not None:
+                    nodes += got[0]
+                    leaves += got[1]
+                    if depth + got[2] > deep:
+                        deep = depth + got[2]
+                    outputs += got[3]
+                    ts = got[4]
+                    if ts:
+                        for i in range(0, len(ts), width):
+                            sink(s | int.from_bytes(ts[i : i + width], "little"))
+                        if recording:
+                            emitted += _xor_each(ts, s, width)
+                    continue
+                else:  # got[3] <= got[1] <= _REPLAY_CAP, as reach is not 0
+                    cost = (got[3] * width + 7) >> 3
+                    if cost <= sum_room:
+                        sum_room -= cost
+                        push((None, summary, len(emitted), depth, s))
+                        recording += 1
         nodes += 1
         if depth > deep:
             deep = depth

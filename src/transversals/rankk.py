@@ -79,13 +79,13 @@ def _derive_subsumed(subsumed: set[int], parent: frozenset[int], child: frozense
 class _EdgeKeys(dict):
     """Canonical edge keys, memoized for the masks of one run."""
 
-    def __missing__(self, mask: int) -> tuple[int, ...]:
+    def __missing__(self, mask: int) -> tuple[bytes, int]:
         key = self[mask] = edge_key(mask)
         return key
 
 
 def _choose_b2(
-    edges: frozenset[int], key: Callable[[int], tuple[int, ...]] = edge_key
+    edges: frozenset[int], key: Callable[[int], tuple[bytes, int]] = edge_key
 ) -> tuple[int, int, tuple[int, ...]]:
     """The smallest edge e, its maximum-overlap partner, and the branch order.
 

@@ -2,10 +2,12 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import transversals as tv
 from transversals import Hypergraph, Instance, ParseError, parse_hypergraph, serialize_hypergraph
-from transversals.bitsets import byte_entries, byte_tables, iter_bits, mask_of, set_of
+from transversals.bitsets import byte_entries, byte_tables, edge_key, iter_bits, mask_of, set_of
 
 from helpers import instance_deck, minimal_by_definition
 
@@ -293,6 +295,20 @@ class TestByteBoundaries:
         assert byte_entries(mask_of([8, 9, 17]), tables, fill) == [[8, 9], [17]]
         assert byte_entries(mask_of([7, 17]), tables, fill) == [[7], [17]]
         assert calls == [(0, 0x80), (1, 0x01), (2, 0x02), (1, 0x03)]
+
+    def test_edge_key_orders_every_mask_on_twelve_vertices_as_its_vertex_list(self):
+        masks = range(1 << 13)  # bit 0 too, as the key does not assume it is clear
+        assert sorted(masks, key=edge_key) == sorted(masks, key=lambda m: tuple(iter_bits(m)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.frozensets(st.integers(0, 40), max_size=9), min_size=2, max_size=12))
+    def test_edge_key_orders_masks_across_bytes_as_their_vertex_lists(self, sets):
+        masks = list(map(mask_of, sets))
+        for a in masks:
+            for b in masks:
+                lists = tuple(iter_bits(a)), tuple(iter_bits(b))
+                assert (edge_key(a) < edge_key(b)) == (lists[0] < lists[1]), lists
+                assert (edge_key(a) == edge_key(b)) == (a == b)
 
     @pytest.mark.parametrize("n", BYTE_SIZES)
     def test_agrees_with_definition(self, n):

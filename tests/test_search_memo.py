@@ -1,14 +1,16 @@
 """The search kernel's memo: expanding each distinct working state once
 gives the same emitted sequence and the same stats at any memo budget."""
 
+import io
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import transversals as tv
-from transversals import Hypergraph, Instance, hypergraph, rank3
+from transversals import Hypergraph, Instance, cli, hypergraph, rank3, serialize_hypergraph
 from transversals.bitsets import mask_of, set_of
 from transversals.hypergraph import search
 from transversals.rank3 import apply_rule, next_rule
@@ -195,7 +197,10 @@ def test_carried_fold_is_the_fresh_fold(h, monkeypatch):
             stats = engine(h, lambda t: None)
             if not name.startswith("compression"):  # compression's phase 1 checks without a fold
                 assert unfolded == [], name
-                assert stats.outputs <= len(folded) <= stats.leaves, name
+                # a replayed subtree's leaves are not checked; with no memo, nothing is replayed
+                assert len(folded) <= stats.leaves, name
+                if budget == 0:
+                    assert stats.outputs <= len(folded), name
 
 
 @pytest.mark.parametrize("n", [9, 16, 17])
@@ -222,6 +227,7 @@ def test_carried_fold_from_a_partial_root(n, monkeypatch):
 
 def test_fold_runs_once_per_stored_child_adding_two_or_more_vertices(monkeypatch):
     # Before the fold was carried, every one of the 1,000 leaves folded its S.
+    # The other 60 folds are U's, once per stored state visited again.
     folds = multi = 0
     fold = Hypergraph._fold
 
@@ -240,7 +246,7 @@ def test_fold_runs_once_per_stored_child_adding_two_or_more_vertices(monkeypatch
     monkeypatch.setattr(rank3, "apply_rule", counted_rule)
     stats = tv.enumerate_rank3(tv.gen_lower_bound(3, 15), lambda t: None)
     assert (stats.nodes, stats.leaves) == (2123, 1000)
-    assert folds == multi == 20
+    assert (folds, multi) == (80, 20)
 
 
 def assert_count_only_matches_the_walk(h, monkeypatch):
@@ -307,7 +313,8 @@ def test_count_only_checks_leaves_only_outside_repeated_subtrees(monkeypatch):
 
     monkeypatch.setattr(Hypergraph, "is_minimal_transversal", counted)
     h = tv.gen_lower_bound(3, 15)
-    for sink, want in ((hypergraph.count_only, 41), (lambda m: None, 1000)):
+    # A reading sink checks a few more: a subtree is replayed from its third visit under one key.
+    for sink, want in ((hypergraph.count_only, 41), (lambda m: None, 63)):
         calls = 0
         assert tv.enumerate_rank3(h, sink) == tv.SearchStats(2123, 1000, 24, 1000)
         assert calls == want
@@ -317,3 +324,85 @@ def test_count_only_keeps_the_invariant_check(monkeypatch):
     monkeypatch.setattr(Instance, "branch", lambda self, sel, dis: self)
     with pytest.raises(tv.SearchInvariantError):
         tv.enumerate_rankk(Hypergraph(3, [{1, 2}, {2, 3}, {1, 3}]), hypergraph.count_only)
+
+
+#: Settings that replay nothing (no memo; a cap of 0 leaves, which every
+#: subtree exceeds) or only single-leaf subtrees (a cap of 1).
+FEWER_REPLAYS = [("_MEMO_MASKS", 0), ("_REPLAY_CAP", 0), ("_REPLAY_CAP", 1)]
+
+
+def cli_run(argv, text):
+    """main(argv) on text as stdin: the exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as monkeypatch, redirect_stdout(out), redirect_stderr(err):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def reading_runs(h):
+    """Each engine's emitted sequence and stats, and the CLI's first minimum and ties with --stats."""
+    runs = {}
+    for name, engine in engines(h).items():
+        out = []
+        runs[name] = (out, engine(h, out.append))
+    text = serialize_hypergraph(h)
+    for algorithm in ["auto", "rankk"] + (["rank3"] if h.rank() <= 3 else []):
+        for command in ("minimum", "count-minimum"):
+            runs[command, algorithm] = cli_run([command, "--stats", "--algorithm", algorithm], text)
+    return runs
+
+
+def assert_replay_matches_the_walk(h):
+    replayed = reading_runs(h)
+    for name, value in FEWER_REPLAYS:
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(hypergraph, name, value)
+            assert reading_runs(h) == replayed, (name, value)
+
+
+@pytest.mark.parametrize("h", count_deck())
+def test_replay_gives_the_walks_sequence_stats_and_minimum(h):
+    assert_replay_matches_the_walk(h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hypergraphs())
+def test_replay_gives_the_walks_sequence_stats_and_minimum_generated(h):
+    assert_replay_matches_the_walk(h)
+
+
+@pytest.mark.parametrize("n", [9, 16, 17])
+def test_replay_from_a_partial_root(n):
+    partial = {1, 8, n}
+    drawn = tv.gen_random(tv.GeneratorSpec("random", k=3, n=n, m=2 * n, seed=n))
+    h = Hypergraph(n, [e - partial for e in drawn.edges if e - partial])
+    leaf_graph = Hypergraph(n, [*h.edges, *({p} for p in partial)])
+    root = Instance(h, vertices=set(range(1, n + 1)) - partial, partial=partial)
+    for step, carry in ((rank3_step, None), (_branch_step(), _subsumed(frozenset(h.edge_masks())))):
+        runs = []
+        for name, value in [("_REPLAY_CAP", hypergraph._REPLAY_CAP), *FEWER_REPLAYS]:
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                monkeypatch.setattr(hypergraph, name, value)
+                out = []
+                runs.append((out, search(root, step, leaf_graph, out.append, carry)))
+        assert runs[1:] == runs[:1] * len(FEWER_REPLAYS)
+        assert runs[0][0] and all(m & mask_of(partial) == mask_of(partial) for m in runs[0][0])
+
+
+@pytest.mark.parametrize(
+    "cap, want",
+    [(0, (1000, 1000)), (1, (1000, 403)), (2, (678, 110)), (hypergraph._REPLAY_CAP, (63, 13))],
+)
+def test_only_subtrees_within_the_cap_replay(cap, want, monkeypatch):
+    # Leaf checks of rank3 and rankk on lb3 n=15 with a plain sink: a
+    # subtree with more leaves than the cap is walked, and its leaves checked.
+    folded, _ = compare_folds(monkeypatch)
+    monkeypatch.setattr(hypergraph, "_REPLAY_CAP", cap)
+    h = tv.gen_lower_bound(3, 15)
+    got = []
+    for engine in (tv.enumerate_rank3, tv.enumerate_rankk):
+        folded.clear()
+        assert engine(h, lambda m: None).outputs == 1000
+        got.append(len(folded))
+    assert tuple(got) == want
