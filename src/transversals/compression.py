@@ -19,24 +19,23 @@ alpha tunes only the phase split, never the emitted set.
 The projection for N depends only on which edges N misses, and most
 subsets of X share one with another. N is kept as a bitmask over X, and
 one subset-OR table over X gives every N a key that is equal exactly for
-equal projections. The inner engine therefore runs once per distinct
-projection; for every later N with the same projection its recorded
-outputs are replayed, in the same order, through the same final filter.
-This relies on the inner engine giving the same outputs for equal
-hypergraphs, as every engine in the package does. The stats still
-describe the unmemoized tree: a replay adds the recorded inner counters
-again.
+equal projections. Phase 2 is one loop over N: a new key runs the inner
+engine once and stores its outputs Y, each with the edges it hits, and
+every N passes its key's Y through the final filter in that order, so an
+N's outputs stream after its inner run returns. This relies on the inner
+engine giving the same outputs for equal hypergraphs, as every engine in
+the package does. The stats still describe the unmemoized tree: every N
+adds its key's inner counters.
 
 The final filter checks only N's members. Since each Y is a minimal
 transversal of N's projection (the inner engine must emit nothing else),
 N union Y hits every edge, and each y in Y keeps a private edge: its
 projected edge misses N and the rest of Y. So the set is minimal iff
 every member of N has an edge that no other member of N and no member
-of Y hits. Each N's private edges come from the incidence rows of its
-members and each Y's hit edges are recorded with Y, so a check is a few
-bit operations. X, N and each Y stay masks; N's vertex mask is built
-from the counter only when something is emitted or an inner run needs
-its projection.
+of Y hits: the kernel's crit test (`hypergraph._crit_key`) with no edge
+outside gives each member's private edges, and Y must miss one of each.
+X, N and each Y stay masks; N's vertex mask is built from the counter
+only when its key is new or its stored Y list is not empty.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from collections.abc import Iterable, Sequence
 from itertools import combinations
 
 from .bitsets import iter_bits, mask_of
-from .hypergraph import Hypergraph, SearchStats, TransversalSink
+from .hypergraph import Hypergraph, SearchStats, TransversalSink, _crit_key
 from .rank3 import enumerate_rank3
 from .rankk import enumerate_rankk
 
@@ -105,8 +104,8 @@ def enumerate_compression(h: Hypergraph, sink: TransversalSink, *, alpha: float 
     Stats: nodes counts phase-1 subsets scanned plus inner-engine nodes;
     leaves aggregates inner leaves, or counts the scanned subsets when the
     run never leaves phase 1 (each subset check halts there); outputs
-    counts emissions. Inner counters are added once per N, replayed or
-    not, so they describe one inner run per subset of X.
+    counts emissions. Inner counters are added once per N, its key new
+    or not, so they describe one inner run per subset of X.
     """
     _check_alpha(alpha)
     stats = SearchStats()
@@ -136,39 +135,26 @@ def enumerate_compression(h: Hypergraph, sink: TransversalSink, *, alpha: float 
     full = (1 << len(anchor)) - 1
     xm = mask_of(anchor)
     keys = _key_table(h.edge_masks(), anchor)
-    inc = h._incidence()
-    rows = [inc[v] for v in anchor]
     # Per distinct key: the inner outputs Y as masks, each with the edges it hits.
     memo: dict[int, tuple[list[tuple[int, int]], SearchStats]] = {}
 
     for counter in range(full + 1):
         key = keys[full ^ counter]
         hit = memo.get(key)
-        if hit is None:
+        if hit is None or hit[0]:  # N's mask is needed to project or to emit
             n_mask = mask_of(anchor[j] for j in iter_bits(counter))
-            privs = _private_edges(rows, counter)
-            ys: list[tuple[int, int]] = []
-
-            def record(y: int, chosen: int = n_mask, privs: list[int] | None = privs, ys: list = ys) -> None:
-                once_y = h._fold(y)[0]
-                ys.append((y, once_y))
-                if privs is not None and _keeps_minimal(privs, once_y):
-                    sink(chosen | y)
+        if hit is None:
+            found: list[int] = []
+            inner_stats = inner(project(h, xm, n_mask), found.append)
+            hit = memo[key] = [(y, h._fold(y)[0]) for y in found], inner_stats
+        ys, inner_stats = hit
+        # The final filter: N | Y is minimal iff each member of N keeps a private edge that Y misses.
+        privs = _crit_key(0, h._fold(n_mask)) if ys else None
+        if privs is not None:
+            for y, once_y in ys:
+                if all(p & ~once_y for p in privs):
+                    sink(n_mask | y)
                     stats.outputs += 1
-
-            inner_stats = inner(project(h, xm, n_mask), record)
-            memo[key] = ys, inner_stats
-        else:
-            ys, inner_stats = hit
-            privs = _private_edges(rows, counter) if ys else None
-            if privs is not None:
-                n_mask = None
-                for y, once_y in ys:
-                    if _keeps_minimal(privs, once_y):
-                        if n_mask is None:
-                            n_mask = mask_of(anchor[j] for j in iter_bits(counter))
-                        sink(n_mask | y)
-                        stats.outputs += 1
         stats.nodes += inner_stats.nodes
         stats.leaves += inner_stats.leaves
         stats.max_depth = max(stats.max_depth, inner_stats.max_depth)
@@ -204,31 +190,3 @@ def _key_table(edge_masks: Iterable[int], anchor: Sequence[int]) -> list[int]:
                 keys[s] |= keys[s - step]
         step *= 2
     return keys
-
-
-def _private_edges(rows: list[int], counter: int) -> list[int] | None:
-    """For each member of N (bit j of counter selects rows[j], an incidence
-    row), the edges it hits and no other member does; None when a member
-    has none, since then no N | Y is minimal."""
-    once = twice = 0
-    member_rows = []
-    while counter:
-        low = counter & -counter
-        row = rows[low.bit_length() - 1]
-        twice |= once & row
-        once |= row
-        member_rows.append(row)
-        counter ^= low
-    privs = [row & ~twice for row in member_rows]
-    return privs if all(privs) else None
-
-
-def _keeps_minimal(privs: list[int], once_y: int) -> bool:
-    """The final filter: is N | Y a minimal transversal of the input?
-
-    privs is _private_edges of N, once_y the edges Y hits. Exact when Y is
-    a minimal transversal of N's projection (see the module docstring):
-    then only N's members can lack a private edge. This is the "crit" test
-    of Murakami and Uno (DAM 2014), restricted to N.
-    """
-    return all(p & ~once_y for p in privs)

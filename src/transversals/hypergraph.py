@@ -31,7 +31,7 @@ from itertools import filterfalse
 from operator import index
 from typing import Any
 
-from .bitsets import byte_entries, byte_tables, edge_key, iter_bits, mask_of, set_of
+from .bitsets import byte_entries, byte_tables, edge_key, iter_bits, set_of
 from .errors import ParseError, SearchInvariantError
 
 #: Consumer invoked exactly once per enumerated minimal transversal, with
@@ -234,12 +234,8 @@ class Instance:
         keep = ~vb
         return self._spawn(self.vmask ^ vb, frozenset(e & keep for e in self.emasks), self.smask)
 
-    def drop_edge(self, edge: Iterable[int]) -> Instance:
-        """Remove one working edge (used by the subsumption reductions)."""
-        return self._drop_mask(mask_of(edge))
-
-    def _drop_mask(self, em: int) -> Instance:
-        """drop_edge for an edge given as its mask."""
+    def drop_edge(self, em: int) -> Instance:
+        """Remove the working edge of mask em (used by the subsumption reductions)."""
         if em not in self.emasks:
             raise ValueError("no such working edge")
         return self._spawn(self.vmask, self.emasks - {em}, self.smask)
@@ -337,7 +333,8 @@ def count_only(mask: int) -> None:
 def _crit_key(outside: int, fold: tuple) -> tuple[int, ...] | None:
     """K for S's fold at a state whose working vertices cannot hit the edges of outside:
     the private edges of S's members inside U = ~outside, ascending (they are disjoint);
-    None if a member has none."""
+    None if a member has none. `search` keys its subtree summaries on it; with
+    outside=0 it is every member's private edges, compression's final filter."""
     once, twice, rows = fold
     single = once & ~twice  # the edges S hits once: the union of its members' private edges
     spared = single & outside  # a member that hits one of these keeps a private edge below

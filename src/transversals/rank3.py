@@ -192,7 +192,7 @@ def apply_rule(inst: Instance, rule: RuleId) -> list[Instance]:
     if t == "R1_0":
         return [inst.discard(rule.v)]
     if t == "R1_1":
-        return [inst.drop_edge(iter_bits(rule.e))]
+        return [inst.drop_edge(rule.e)]
     if t == "R1_2":
         return [inst.select(rule.v)]
     return [inst.branch(s, d) for s, d in rule.branches]

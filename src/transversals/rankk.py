@@ -134,7 +134,7 @@ def _branch_step() -> BranchStep:
         if isolated:  # R1
             children = [inst.discard((isolated & -isolated).bit_length() - 1)]
         elif subsumed:  # R2
-            children = [inst._drop_mask(min(subsumed, key=key))]
+            children = [inst.drop_edge(min(subsumed, key=key))]
         else:
             units = [e for e in edges if e.bit_count() == 1]
             if units:  # R3

@@ -18,7 +18,8 @@ from transversals import (
     project,
 )
 from transversals.bitsets import mask_of, set_of
-from transversals.compression import DEFAULT_ALPHA, _first_split, _keeps_minimal, _key_table, _private_edges
+from transversals.compression import DEFAULT_ALPHA, _first_split, _key_table
+from transversals.hypergraph import _crit_key
 
 from helpers import instance_deck, oracle, packed_blocks, rankk_inner, run
 
@@ -378,27 +379,23 @@ class TestPhase2Masks:
         verdicts = set()  # the filter both accepts and rejects on every deck
         for h, x, subsets in anchored(deck, alpha):
             engine = compression.enumerate_rank3 if h.rank() <= 4 else compression.enumerate_rankk
-            inc = h._incidence()
-            rows = [inc[v] for v in sorted(x)]
-            for counter, n_sub in subsets:
-                privs = _private_edges(rows, counter)
+            for _, n_sub in subsets:
+                n = mask_of(n_sub)
+                privs = _crit_key(0, h._fold(n))
                 ys = []
-                engine(project(h, x, n_sub), lambda m: ys.append(set_of(m)))
+                engine(project(h, x, n_sub), ys.append)
                 for y in ys:
-                    once_y = 0
-                    for v in y:
-                        once_y |= inc[v]
-                    got = privs is not None and _keeps_minimal(privs, once_y)
-                    assert got == h.is_minimal_transversal(n_sub | y), (h, n_sub, y)
+                    once_y = h._fold(y)[0]
+                    got = privs is not None and all(p & ~once_y for p in privs)
+                    assert got == h.is_minimal_transversal(n | y), (h, n_sub, set_of(y))
                     verdicts.add(got)
         assert verdicts == {True, False}
 
-    def test_private_edges(self):
-        assert _private_edges([0b011, 0b110, 0b100], 0) == []
-        assert _private_edges([0b011, 0b110, 0b100], 0b011) == [0b001, 0b100]
-        assert _private_edges([0b011, 0b110, 0b100], 0b111) is None  # member 2's one edge is member 1's too
-        assert _keeps_minimal([], 0b111)
-        assert not _keeps_minimal([0b001, 0b100], 0b101)
+    def test_crit_key_with_nothing_outside(self):
+        # A fold is (edges hit once or more, twice or more, the members' rows).
+        assert _crit_key(0, (0, 0, ())) == ()
+        assert _crit_key(0, (0b111, 0b010, (0b110, 0b011))) == (0b001, 0b100)  # ascending
+        assert _crit_key(0, (0b111, 0b110, (0b011, 0b110, 0b100))) is None  # row 0b100's one edge is 0b110's too
 
 
 @st.composite
