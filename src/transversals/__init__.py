@@ -40,14 +40,7 @@ _HOMES = {
         "parse_hypergraph",
         "serialize_hypergraph",
     ),
-    "instances": (
-        "GeneratorSpec",
-        "brute_force_enumerate",
-        "gen_lower_bound",
-        "gen_random",
-        "gen_triangles",
-        "generate",
-    ),
+    "instances": ("brute_force_enumerate", "gen_lower_bound", "gen_random"),
     "rank3": ("RuleId", "apply_rule", "enumerate_rank3", "next_rule"),
     "rankk": ("enumerate_rankk",),
 }

@@ -172,22 +172,21 @@ def _cmd_enumeration(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    from .instances import GeneratorSpec, generate
+    from .instances import gen_lower_bound, gen_random
 
-    kind = {"lb": "lower_bound", "triangles": "triangles", "random": "random"}[args.kind]
-    if kind == "triangles":
+    if args.kind == "triangles":
         if args.k not in (None, 2):
             raise ParseError("--kind triangles fixes k at 2")
-        spec = GeneratorSpec(kind=kind, k=2, n=args.n)
-    elif kind == "lower_bound":
+        h = gen_lower_bound(2, args.n)
+    elif args.kind == "lb":
         if args.k is None:
             raise ParseError("--kind lb requires --k")
-        spec = GeneratorSpec(kind=kind, k=args.k, n=args.n)
+        h = gen_lower_bound(args.k, args.n)
     else:
         if args.k is None or args.m is None:
             raise ParseError("--kind random requires --k and --m")
-        spec = GeneratorSpec(kind=kind, k=args.k, n=args.n, m=args.m, seed=args.seed)
-    sys.stdout.write(serialize_hypergraph(generate(spec)))
+        h = gen_random(args.k, args.n, args.m, args.seed)
+    sys.stdout.write(serialize_hypergraph(h))
     return 0
 
 

@@ -181,34 +181,20 @@ class Instance:
 
     `vmask` holds the vertices still eligible for the partial solution
     `smask`, and `emasks` the hyperedges not yet hit, all as masks. The
-    partial solution and the working vertex set never overlap. Instances
-    are persistent values: select/discard/branch return new instances.
+    partial solution and the working vertex set never overlap. `Instance(h)`
+    is the root: all of 1..n, every edge, S empty. Instances are persistent
+    values: select/discard/branch return new ones, and `==` compares masks only.
     """
 
-    __slots__ = ("original", "vmask", "emasks", "smask")
+    __slots__ = ("vmask", "emasks", "smask")
 
-    def __init__(
-        self,
-        original: Hypergraph,
-        vertices: Iterable[int] | None = None,
-        partial: Iterable[int] = (),
-    ) -> None:
-        self.original = original
-        self.smask = original._vertex_mask(partial)
-        if vertices is None:
-            self.vmask = ((1 << (original.n + 1)) - 2) & ~self.smask
-        else:
-            self.vmask = original._vertex_mask(vertices)
-            if self.vmask & self.smask:
-                raise ValueError("working vertices and partial solution overlap")
-        self.emasks = frozenset(original.edge_masks())
-        for em in self.emasks:
-            if em & ~self.vmask:
-                raise ValueError("working edge contains a non-working vertex")
+    def __init__(self, h: Hypergraph) -> None:
+        self.vmask = (1 << (h.n + 1)) - 2
+        self.emasks = frozenset(h.edge_masks())
+        self.smask = 0
 
     def _spawn(self, vmask: int, emasks: frozenset[int], smask: int) -> Instance:
         inst = object.__new__(Instance)
-        inst.original = self.original
         inst.vmask = vmask
         inst.emasks = emasks
         inst.smask = smask
@@ -258,12 +244,7 @@ class Instance:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Instance):
             return NotImplemented
-        return (
-            self.vmask == other.vmask
-            and self.emasks == other.emasks
-            and self.smask == other.smask
-            and self.original == other.original
-        )
+        return self.vmask == other.vmask and self.emasks == other.emasks and self.smask == other.smask
 
     def __hash__(self) -> int:
         return hash((self.vmask, self.emasks, self.smask))

@@ -1,9 +1,12 @@
-"""Brute-force oracle and instance generators for differential testing."""
+"""Brute-force oracle and instance generators for differential testing.
+
+The generators take their values directly: `gen_lower_bound(k, n)` is the
+paper's packed-block family, `gen_random(k, n, m, seed)` a seeded input.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 from .bitsets import edge_key, set_of
@@ -12,17 +15,6 @@ from .hypergraph import Hypergraph
 
 #: Subset-scan guard; 2^25 subsets is the most the oracle will ever walk.
 ORACLE_MAX_N = 25
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Parameters for `generate`; m and seed apply to the random kind only."""
-
-    kind: str  # "lower_bound" | "triangles" | "random"
-    k: int = 2
-    n: int = 0
-    m: int | None = None
-    seed: int | None = None
 
 
 def brute_force_enumerate(h: Hypergraph) -> list[frozenset[int]]:
@@ -72,11 +64,6 @@ def gen_lower_bound(k: int, n: int) -> Hypergraph:
     return Hypergraph(n, edges)
 
 
-def gen_triangles(n: int) -> Hypergraph:
-    """Disjoint triangles (the k=2 packed-block family) plus isolated leftovers."""
-    return gen_lower_bound(2, n)
-
-
 class SplitMix64:
     """SplitMix64 stream; the fixed PRNG behind reproducible random instances.
 
@@ -103,44 +90,30 @@ class SplitMix64:
         return self.next_u64() % bound
 
 
-def gen_random(spec: GeneratorSpec) -> Hypergraph:
+def gen_random(k: int, n: int, m: int, seed: int) -> Hypergraph:
     """m distinct edges, each a uniform subset of size 1..k, from a seeded stream.
 
     Draw procedure (fixed for reproducibility): size s = 1 + below(k); then
     vertices 1 + below(n) until s distinct are collected; an edge equal to an
-    earlier one is thrown away and redrawn. Identical spec, identical result.
+    earlier one is thrown away and redrawn. Identical arguments, identical result.
     """
-    if spec.kind != "random":
-        raise ValueError(f"not a random spec: {spec.kind!r}")
-    if spec.k < 1:
+    if k < 1:
         raise ValueError("k must be at least 1")
-    if spec.n < spec.k:
+    if n < k:
         raise ValueError("need n >= k so that every edge size 1..k fits")
-    if spec.m is None or spec.seed is None:
-        raise ValueError("random generation needs m and seed")
-    available = sum(math.comb(spec.n, s) for s in range(1, spec.k + 1))
-    if spec.m > available:
-        raise ValueError(f"m={spec.m} infeasible: only {available} distinct edges of size 1..{spec.k} exist")
-    rng = SplitMix64(spec.seed)
+    available = sum(math.comb(n, s) for s in range(1, k + 1))
+    if m > available:
+        raise ValueError(f"m={m} infeasible: only {available} distinct edges of size 1..{k} exist")
+    rng = SplitMix64(seed)
     seen: set[frozenset[int]] = set()
     edges: list[frozenset[int]] = []
-    while len(edges) < spec.m:
-        size = 1 + rng.below(spec.k)
+    while len(edges) < m:
+        size = 1 + rng.below(k)
         verts: set[int] = set()
         while len(verts) < size:
-            verts.add(1 + rng.below(spec.n))
+            verts.add(1 + rng.below(n))
         e = frozenset(verts)
         if e not in seen:
             seen.add(e)
             edges.append(e)
-    return Hypergraph(spec.n, edges)
-
-
-def generate(spec: GeneratorSpec) -> Hypergraph:
-    if spec.kind == "lower_bound":
-        return gen_lower_bound(spec.k, spec.n)
-    if spec.kind == "triangles":
-        return gen_triangles(spec.n)
-    if spec.kind == "random":
-        return gen_random(spec)
-    raise ValueError(f"unknown generator kind {spec.kind!r}")
+    return Hypergraph(n, edges)

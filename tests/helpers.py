@@ -8,7 +8,7 @@ import pytest
 
 import transversals as tv
 from transversals import compression, hypergraph
-from transversals.bitsets import set_of
+from transversals.bitsets import mask_of, set_of
 
 
 @pytest.fixture
@@ -66,11 +66,17 @@ def random_instance(seed, kmin=2, kmax=6, nmin=6, nmax=12, mmax=24):
     n = max(n, k)
     available = sum(math.comb(n, s) for s in range(1, k + 1))
     m = min(4 + (seed * 7) % (mmax - 3), available)
-    return tv.gen_random(tv.GeneratorSpec("random", k=k, n=n, m=m, seed=seed))
+    return tv.gen_random(k=k, n=n, m=m, seed=seed)
 
 
 def instance_deck(count, **kwargs):
     return [random_instance(seed, **kwargs) for seed in range(count)]
+
+
+def partial_root(h, partial):
+    """The root state with the vertices of partial already selected; they
+    must lie in no edge of h, so the working edges are all of h's."""
+    return tv.Instance(h).branch(mask_of(partial), 0)
 
 
 def packed_blocks(*ks):

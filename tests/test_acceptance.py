@@ -30,7 +30,7 @@ def test_criterion_1_oracle_equivalence():
         n = 6 + (seed // 5) % 7               # n 6..12
         available = sum(math.comb(n, s) for s in range(1, k + 1))
         m = min(4 + (seed * 7) % 21, available)  # m 4..24
-        h = tv.gen_random(tv.GeneratorSpec("random", k=k, n=n, m=m, seed=seed))
+        h = tv.gen_random(k=k, n=n, m=m, seed=seed)
         want = oracle(h)
         assert run(enumerate_rankk, h) == want, f"rankk mismatch at seed {seed}"
         counts["rankk"] += 1
@@ -140,7 +140,7 @@ def test_criterion_6_compression_internals():
     while len(instances) < 100:
         n = 7 + seed % 4
         m = 6 + (seed * 3) % 11
-        h = tv.gen_random(tv.GeneratorSpec("random", k=4, n=n, m=m, seed=2000 + seed))
+        h = tv.gen_random(k=4, n=n, m=m, seed=2000 + seed)
         seed += 1
         if h.rank() == 4:
             instances.append(h)
@@ -175,14 +175,14 @@ def test_criterion_6_compression_internals():
 
 
 def corpus():
-    instances = [tv.gen_lower_bound(3, 10), tv.gen_lower_bound(4, 9), tv.gen_triangles(9)]
+    instances = [tv.gen_lower_bound(3, 10), tv.gen_lower_bound(4, 9), tv.gen_lower_bound(2, 9)]
     seed = 0
     while len(instances) < 20:
         k = 2 + seed % 5
         n = max(6 + seed % 6, k)
         available = sum(math.comb(n, s) for s in range(1, k + 1))
         m = min(5 + seed, available)
-        instances.append(tv.gen_random(tv.GeneratorSpec("random", k=k, n=n, m=m, seed=3000 + seed)))
+        instances.append(tv.gen_random(k=k, n=n, m=m, seed=3000 + seed))
         seed += 1
     return instances
 

@@ -134,7 +134,7 @@ class TestScalarCommands:
 
     def test_count_equals_enumerate_lines(self):
         for seed in (2, 9, 21):
-            h = tv.gen_random(tv.GeneratorSpec("random", k=4, n=10, m=12, seed=seed))
+            h = tv.gen_random(k=4, n=10, m=12, seed=seed)
             text = serialize_hypergraph(h)
             _, listing, _ = run_cli(["enumerate"], stdin_text=text)
             _, total, _ = run_cli(["count"], stdin_text=text)
@@ -167,9 +167,9 @@ class TestScalarCommands:
              "stats: nodes=24891 leaves=4658 max_depth=18 outputs=3675\n"),
             (packed_blocks(4, 4, 2), "count-minimum", "3675\n",
              "stats: nodes=24891 leaves=4658 max_depth=18 outputs=3675\n"),
-            (tv.gen_random(tv.GeneratorSpec("random", k=4, n=20, m=30, seed=3)), "minimum",
+            (tv.gen_random(k=4, n=20, m=30, seed=3), "minimum",
              "4 5 8 9 10 12 14 15 16 19 20\n", "stats: nodes=9006 leaves=8216 max_depth=21 outputs=16\n"),
-            (tv.gen_random(tv.GeneratorSpec("random", k=4, n=20, m=30, seed=3)), "count-minimum",
+            (tv.gen_random(k=4, n=20, m=30, seed=3), "count-minimum",
              "10\n", "stats: nodes=9006 leaves=8216 max_depth=21 outputs=16\n"),
         ],
         ids=["blocks-minimum", "blocks-count-minimum", "random-minimum", "random-count-minimum"],
@@ -181,7 +181,7 @@ class TestScalarCommands:
 
     def test_minimum_matches_enumerate(self):
         for seed in (3, 11, 27):
-            h = tv.gen_random(tv.GeneratorSpec("random", k=3, n=9, m=12, seed=seed))
+            h = tv.gen_random(k=3, n=9, m=12, seed=seed)
             text = serialize_hypergraph(h)
             _, listing, _ = run_cli(["enumerate", "--canonical"], stdin_text=text)
             sizes = [len(line.split()) for line in listing.splitlines()]
@@ -222,7 +222,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "h",
-        [tv.gen_lower_bound(5, 9), tv.gen_random(tv.GeneratorSpec("random", k=6, n=10, m=8, seed=1))],
+        [tv.gen_lower_bound(5, 9), tv.gen_random(k=6, n=10, m=8, seed=1)],
         ids=["rank5", "rank6"],
     )
     @pytest.mark.parametrize("command", [["count"], ["enumerate", "--canonical"]], ids=["count", "enumerate"])
@@ -294,9 +294,7 @@ class TestGenerate:
         code2, out2, _ = run_cli(args)
         assert code1 == code2 == 0
         assert out1 == out2
-        assert tv.parse_hypergraph(out1) == tv.gen_random(
-            tv.GeneratorSpec("random", k=3, n=8, m=10, seed=1)
-        )
+        assert tv.parse_hypergraph(out1) == tv.gen_random(k=3, n=8, m=10, seed=1)
 
     def test_random_requires_m(self):
         code, _, _ = run_cli(["generate", "--kind", "random", "--k", "3", "--n", "8"])

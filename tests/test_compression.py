@@ -30,7 +30,7 @@ def rank4_deck(count, nmax=10):
     while len(out) < count:
         n = 7 + seed % (nmax - 6)
         m = 6 + (seed * 3) % 11
-        h = tv.gen_random(tv.GeneratorSpec("random", k=4, n=n, m=m, seed=1000 + seed))
+        h = tv.gen_random(k=4, n=n, m=m, seed=1000 + seed)
         seed += 1
         if h.rank() == 4:
             out.append(h)
@@ -430,13 +430,13 @@ def test_matches_oracle_each_set_once(h, alpha):
             "b9b0936d611ab7de7a07e4dc427cfc8e37a9daccd73901957ca4cee7a37ace19",
         ),
         (
-            tv.gen_random(tv.GeneratorSpec("random", k=4, n=20, m=30, seed=3)),
+            tv.gen_random(k=4, n=20, m=30, seed=3),
             (9006, 8216, 21, 16),
             "de973a4618814b1526a5823343e551b61b1980430b55af99e7f076c0540467f0",
         ),
         (
             # |X| = 16: 65,536 subsets, 9,992 distinct projections
-            tv.gen_random(tv.GeneratorSpec("random", k=4, n=24, m=60, seed=5)),
+            tv.gen_random(k=4, n=24, m=60, seed=5),
             (78639, 65558, 24, 12),
             "b0cc4e2e2d163249c1c70ba26979c9ddf0bcab71941db69cc5baef480dbe8601",
         ),

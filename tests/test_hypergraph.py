@@ -94,10 +94,6 @@ class TestHypergraph:
             TRIANGLE.is_transversal([bad, 3])
         with pytest.raises(TypeError):
             TRIANGLE.is_minimal_transversal([bad, 3])
-        with pytest.raises(TypeError):
-            Instance(TRIANGLE, partial=[bad])
-        with pytest.raises(TypeError):
-            Instance(TRIANGLE, vertices=[1, bad])
 
     def test_integral_vertex_types_accepted(self):
         class Index:
@@ -105,7 +101,6 @@ class TestHypergraph:
                 return 2
 
         assert Hypergraph(3, [[Index(), 3]]) == Hypergraph(3, [{2, 3}])
-        assert Instance(Hypergraph(3, [{1, 3}]), partial=[Index()]).smask == 1 << 2
 
 
 def mask_constructor_cases():
@@ -419,7 +414,7 @@ class TestInstance:
         assert set_of(after.smask) == {1}
 
     def test_select_with_prior_partial(self):
-        inst = Instance(Hypergraph(9, [{1, 2, 3}]), partial={9})
+        inst = Instance(Hypergraph(9, [{1, 2, 3}])).branch(1 << 9, 0)
         after = inst.select(3)
         assert set(map(set_of, after.emasks)) == frozenset()
         assert set_of(after.smask) == {9, 3}
@@ -444,10 +439,6 @@ class TestInstance:
             inst.select(1)
         with pytest.raises(ValueError):
             inst.discard(1)
-
-    def test_partial_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            Instance(TRIANGLE, vertices={1, 2, 3}, partial={1})
 
     def test_select_discard_commute(self):
         for h in instance_deck(25, nmax=9):
@@ -500,21 +491,13 @@ class TestInstance:
             inst.drop_edge(0b1110)
 
     def test_root_equals_one_built_vertex_by_vertex(self):
-        # A root over the whole universe is one mask expression; naming the
-        # vertices goes through the range-checked loop.
+        # The root is one mask expression: every vertex of 1..n, every edge, S empty.
         for n in range(31):
             h = Hypergraph(n, [[v] for v in range(2, n + 1, 3)])
-            for partial in ((), range(1, n + 1, 3)):
-                rest = [v for v in range(1, n + 1) if v not in partial]
-                root = Instance(h, partial=partial)
-                named = Instance(h, vertices=rest, partial=partial)
-                assert root == named
-                assert (root.vmask, root.emasks, root.smask) == (named.vmask, named.emasks, named.smask)
-        h = Hypergraph(3, [{1, 2}])
-        with pytest.raises(ValueError, match=r"^vertex 4 out of range 1\.\.3$"):
-            Instance(h, partial={4})
-        with pytest.raises(ValueError, match=r"^vertex 0 out of range 1\.\.3$"):
-            Instance(h, vertices={0, 1, 2})
+            root = Instance(h)
+            assert root.vmask == (1 << (n + 1)) - 2 == mask_of(range(1, n + 1))
+            assert root.emasks == frozenset(h.edge_masks())
+            assert root.smask == 0
 
 
 ENGINES = [tv.enumerate_rank3, tv.enumerate_rankk]

@@ -1,9 +1,10 @@
+import hashlib
 import math
 
 import pytest
 
 import transversals as tv
-from transversals import GeneratorSpec, Hypergraph, brute_force_enumerate, gen_lower_bound, gen_random
+from transversals import Hypergraph, brute_force_enumerate, gen_lower_bound, gen_random, serialize_hypergraph
 from transversals.instances import SplitMix64
 
 from helpers import canon, instance_deck, oracle
@@ -78,9 +79,6 @@ class TestLowerBoundFamily:
         want = math.comb(2 * k - 1, k) ** blocks
         assert len(brute_force_enumerate(gen_lower_bound(k, n))) == want
 
-    def test_triangles_alias(self):
-        assert tv.gen_triangles(7) == gen_lower_bound(2, 7)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             gen_lower_bound(0, 5)
@@ -90,16 +88,15 @@ class TestLowerBoundFamily:
 
 class TestRandom:
     def test_deterministic_per_seed(self):
-        spec = GeneratorSpec("random", k=3, n=8, m=10, seed=1)
-        assert gen_random(spec) == gen_random(spec)
+        assert gen_random(k=3, n=8, m=10, seed=1) == gen_random(k=3, n=8, m=10, seed=1)
 
     def test_seeds_differ(self):
-        a = gen_random(GeneratorSpec("random", k=3, n=8, m=10, seed=1))
-        b = gen_random(GeneratorSpec("random", k=3, n=8, m=10, seed=2))
+        a = gen_random(k=3, n=8, m=10, seed=1)
+        b = gen_random(k=3, n=8, m=10, seed=2)
         assert a != b
 
     def test_shape(self):
-        h = gen_random(GeneratorSpec("random", k=4, n=9, m=14, seed=5))
+        h = gen_random(k=4, n=9, m=14, seed=5)
         assert h.n == 9
         assert len(h.edges) == 14
         assert all(1 <= len(e) <= 4 for e in h.edges)
@@ -107,19 +104,27 @@ class TestRandom:
     def test_infeasible_m(self):
         # C(5,1)+C(5,2)+C(5,3)+C(5,4) = 30 candidate edges < 100
         with pytest.raises(ValueError, match="infeasible"):
-            gen_random(GeneratorSpec("random", k=4, n=5, m=100, seed=0))
+            gen_random(k=4, n=5, m=100, seed=0)
 
     def test_saturating_m_terminates(self):
-        h = gen_random(GeneratorSpec("random", k=2, n=4, m=10, seed=3))
+        h = gen_random(k=2, n=4, m=10, seed=3)
         assert len(h.edges) == 10
 
     def test_k_larger_than_n_rejected(self):
         with pytest.raises(ValueError):
-            gen_random(GeneratorSpec("random", k=5, n=4, m=2, seed=0))
+            gen_random(k=5, n=4, m=2, seed=0)
 
-    def test_requires_m_and_seed(self):
-        with pytest.raises(ValueError):
-            gen_random(GeneratorSpec("random", k=2, n=4))
+    @pytest.mark.parametrize(
+        "k,n,m,seed,digest",
+        [
+            (4, 20, 30, 3, "f0bcf90201a8f4dbbfcd1d7285c899b8ba3b4e8a2f695c644a25afcd0ac40605"),
+            (8, 60, 150, 4, "595c08b9d1a863bd6d8ee2ea82e4779f29696402bdd9ccfc2df0c0d3ae5c7b53"),
+        ],
+    )
+    def test_serialized_stream_is_stable(self, k, n, m, seed, digest):
+        # regression pin of the whole draw procedure, stream to serialized bytes
+        text = serialize_hypergraph(gen_random(k=k, n=n, m=m, seed=seed))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_splitmix64_stream_is_stable():
@@ -132,9 +137,3 @@ def test_splitmix64_stream_is_stable():
     ]
     assert SplitMix64(2**64 + 7).state == SplitMix64(7).state
 
-
-def test_generate_dispatch():
-    assert tv.generate(GeneratorSpec("lower_bound", k=2, n=6)) == gen_lower_bound(2, 6)
-    assert tv.generate(GeneratorSpec("triangles", n=6)) == gen_lower_bound(2, 6)
-    with pytest.raises(ValueError):
-        tv.generate(GeneratorSpec("mystery", n=3))

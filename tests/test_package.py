@@ -52,7 +52,7 @@ HOMES = {
         "Hypergraph", "Instance", "SearchStats", "TransversalSink", "count_only", "parse_hypergraph",
         "serialize_hypergraph",
     ],
-    "instances": ["GeneratorSpec", "brute_force_enumerate", "gen_lower_bound", "gen_random", "gen_triangles", "generate"],
+    "instances": ["brute_force_enumerate", "gen_lower_bound", "gen_random"],
     "rank3": ["RuleId", "apply_rule", "enumerate_rank3", "next_rule"],
     "rankk": ["enumerate_rankk"],
 }

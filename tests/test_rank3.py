@@ -7,13 +7,13 @@ from transversals import Hypergraph, Instance, enumerate_rank3, next_rule
 from transversals.bitsets import mask_of, set_of
 from transversals.rank3 import RuleId, apply_rule
 
-from helpers import emitted, instance_deck, no_memo, oracle, run  # noqa: F401 (no_memo is a fixture)
+from helpers import emitted, instance_deck, no_memo, oracle, partial_root, run  # noqa: F401 (no_memo is a fixture)
 
 
 def rule_on(edges, n=None, partial=()):
     verts = {v for e in edges for v in e} | set(partial)
     h = Hypergraph(n or (max(verts) if verts else 0), edges)
-    return next_rule(Instance(h, partial=partial))
+    return next_rule(partial_root(h, partial))
 
 
 def m(*vertices):

@@ -111,9 +111,9 @@ class TestEnumerate:
             assert stats.outputs <= stats.leaves
 
 
-def branch_outputs(inst):
+def branch_outputs(h, inst):
     out = []
-    search(inst, _branch_step(), inst.original, out.append, _subsumed(inst.emasks))
+    search(inst, _branch_step(), h, out.append, _subsumed(inst.emasks))
     return canon(map(set_of, out))  # the kernel emits masks
 
 
@@ -136,7 +136,7 @@ class TestB2Partition:
             groups.setdefault(first, []).append(t)
         current = root
         for i, v in enumerate(ordering):
-            got = branch_outputs(current.select(v))
+            got = branch_outputs(h, current.select(v))
             assert got == sorted(groups.get(i, []))
             current = current.discard(v)
 
@@ -172,7 +172,7 @@ def superset_heavy():
     return [
         grown(lb4, lambda e: min(set(range(1, 15)) - e)),  # supersets inside a block
         grown(lb3, lambda e: (min(e) + 4) % 10 + 1),  # supersets across the two blocks
-        *(tv.gen_random(tv.GeneratorSpec("random", k=6, n=9, m=60, seed=s)) for s in range(3)),
+        *(tv.gen_random(k=6, n=9, m=60, seed=s) for s in range(3)),
     ]
 
 
@@ -239,7 +239,7 @@ class TestCarriedSubsumedSet:
     [
         (tv.gen_lower_bound(3, 15), (2776, 1000, 15, 1000)),
         (Hypergraph(300, [{i} for i in range(1, 301)]), (301, 1, 300, 1)),
-        (tv.gen_random(tv.GeneratorSpec("random", k=4, n=20, m=30, seed=3)), (89, 16, 39, 16)),
+        (tv.gen_random(k=4, n=20, m=30, seed=3), (89, 16, 39, 16)),
     ],
 )
 def test_tree_shape_pinned(h, shape):

@@ -16,7 +16,7 @@ from transversals.hypergraph import search
 from transversals.rank3 import apply_rule, next_rule
 from transversals.rankk import _branch_step, _subsumed
 
-from helpers import instance_deck, rankk_inner
+from helpers import instance_deck, partial_root, rankk_inner
 
 DEFAULT = hypergraph._MEMO_MASKS
 BUDGETS = [DEFAULT, 8, 0]
@@ -182,7 +182,7 @@ def fold_deck():
     cases = deck()
     for n in (7, 8, 9, 15, 16, 17):
         for k in (2, 3, 4):
-            cases.append(tv.gen_random(tv.GeneratorSpec("random", k=k, n=n, m=2 * n, seed=n * k)))
+            cases.append(tv.gen_random(k=k, n=n, m=2 * n, seed=n * k))
     return cases
 
 
@@ -208,7 +208,7 @@ def test_carried_fold_from_a_partial_root(n, monkeypatch):
     folded, _ = compare_folds(monkeypatch)
     partial = {1, 8, n}  # either side of the first byte boundary, and the last vertex
     pm = mask_of(partial)
-    drawn = tv.gen_random(tv.GeneratorSpec("random", k=3, n=n, m=2 * n, seed=n))
+    drawn = tv.gen_random(k=3, n=n, m=2 * n, seed=n)
     h = Hypergraph(n, [e - partial for e in drawn.edges if e - partial])
     leaf_graph = Hypergraph(n, [*h.edges, *({p} for p in partial)])
     found = []
@@ -219,7 +219,7 @@ def test_carried_fold_from_a_partial_root(n, monkeypatch):
             monkeypatch.setattr(hypergraph, "_MEMO_MASKS", budget)
             folded.clear()
             out = []
-            root = Instance(h, vertices=set(range(1, n + 1)) - partial, partial=partial)
+            root = partial_root(h, partial)
             search(root, step, leaf_graph, out.append, carry)
             assert sorted(out) == want
             assert len(folded) >= len(out) > 0
@@ -270,8 +270,8 @@ def count_deck():
         tv.gen_lower_bound(3, 12),
         tv.gen_lower_bound(3, 13),
         *instance_deck(6, kmin=3, kmax=3, nmax=24),
-        tv.gen_random(tv.GeneratorSpec("random", k=3, n=21, m=25, seed=273)),
-        tv.gen_random(tv.GeneratorSpec("random", k=6, n=17, m=33, seed=297)),
+        tv.gen_random(k=3, n=21, m=25, seed=273),
+        tv.gen_random(k=6, n=17, m=33, seed=297),
     ]
 
 
@@ -290,13 +290,13 @@ def test_count_only_gives_the_walks_stats_generated(h):
 @pytest.mark.parametrize("n", [9, 16, 17])
 def test_count_only_from_a_partial_root(n, monkeypatch):
     partial = {1, 8, n}
-    drawn = tv.gen_random(tv.GeneratorSpec("random", k=3, n=n, m=2 * n, seed=n))
+    drawn = tv.gen_random(k=3, n=n, m=2 * n, seed=n)
     h = Hypergraph(n, [e - partial for e in drawn.edges if e - partial])
     leaf_graph = Hypergraph(n, [*h.edges, *({p} for p in partial)])
     for step, carry in ((rank3_step, None), (_branch_step(), _subsumed(frozenset(h.edge_masks())))):
         for budget in (DEFAULT, 8, 1, 0):
             monkeypatch.setattr(hypergraph, "_MEMO_MASKS", budget)
-            root = Instance(h, vertices=set(range(1, n + 1)) - partial, partial=partial)
+            root = partial_root(h, partial)
             walked = search(root, step, leaf_graph, lambda m: None, carry)
             assert search(root, step, leaf_graph, hypergraph.count_only, carry) == walked
             assert walked.outputs > 0
@@ -375,10 +375,10 @@ def test_replay_gives_the_walks_sequence_stats_and_minimum_generated(h):
 @pytest.mark.parametrize("n", [9, 16, 17])
 def test_replay_from_a_partial_root(n):
     partial = {1, 8, n}
-    drawn = tv.gen_random(tv.GeneratorSpec("random", k=3, n=n, m=2 * n, seed=n))
+    drawn = tv.gen_random(k=3, n=n, m=2 * n, seed=n)
     h = Hypergraph(n, [e - partial for e in drawn.edges if e - partial])
     leaf_graph = Hypergraph(n, [*h.edges, *({p} for p in partial)])
-    root = Instance(h, vertices=set(range(1, n + 1)) - partial, partial=partial)
+    root = partial_root(h, partial)
     for step, carry in ((rank3_step, None), (_branch_step(), _subsumed(frozenset(h.edge_masks())))):
         runs = []
         for name, value in [("_REPLAY_CAP", hypergraph._REPLAY_CAP), *FEWER_REPLAYS]:
