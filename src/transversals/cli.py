@@ -17,16 +17,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 from .bitsets import byte_entries, byte_tables, edge_key, iter_bits, mask_of
-from .compression import DEFAULT_ALPHA, _check_alpha, enumerate_compression
+from .compression import enumerate_compression
 from .errors import ParseError, SearchInvariantError, UnsupportedInstanceError
 from .hypergraph import Hypergraph, SearchStats, count_only, parse_hypergraph, serialize_hypergraph
 from .rank3 import enumerate_rank3
 from .rankk import enumerate_rankk
-
-ENUM_COMMANDS = ("enumerate", "count", "minimum", "count-minimum", "bench")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,21 +38,21 @@ def _build_parser() -> argparse.ArgumentParser:
         ("count", "print the number of minimal transversals"),
         ("minimum", "print one minimum-cardinality minimal transversal"),
         ("count-minimum", "print the number of minimum-cardinality minimal transversals"),
-        ("bench", "run the enumeration, print a summary instead of transversals"),
     ):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=_cmd_enumeration)
         p.add_argument("input", nargs="?", default="-", help="input file (default: stdin)")
         p.add_argument(
             "--algorithm",
             choices=("auto", "rank3", "rankk", "compression", "oracle"),
             default="auto",
         )
-        p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="compression phase split")
         p.add_argument("--stats", action="store_true", help="print node/leaf counters to stderr")
         if name == "enumerate":
             p.add_argument("--canonical", action="store_true", help="buffer and sort the output")
 
     p = sub.add_parser("generate", help="emit a generated instance in the input format")
+    p.set_defaults(run=_cmd_generate)
     p.add_argument("--kind", choices=("lb", "triangles", "random"), required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--n", type=int, required=True)
@@ -63,10 +60,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("verify-measure", help="check the branching constraints of a weight table")
+    p.set_defaults(run=_cmd_verify_measure)
     p.add_argument("--weights", default=None, help="weights file (default: built-in table)")
     p.add_argument("--tolerance", type=float, default=1e-6)
 
     p = sub.add_parser("bounds-table", help="print lower/upper bound bases per rank")
+    p.set_defaults(run=_cmd_bounds_table)
     p.add_argument("--kmax", type=int, required=True)
 
     return parser
@@ -79,24 +78,21 @@ def _read_input(path: str) -> Hypergraph:
         return parse_hypergraph(handle.read())
 
 
-def _pick_algorithm(name: str, h: Hypergraph) -> str:
-    if name != "auto":
-        return name
-    rank = h.rank()
-    if rank <= 3:
-        return "rank3"
-    if rank == 4:
-        return "compression"
-    return "rankk"
-
-
-def _run_engine(name: str, h: Hypergraph, alpha: float, sink) -> SearchStats:
+def _run_engine(name: str, h: Hypergraph, sink) -> SearchStats:
+    if name == "auto":
+        rank = h.rank()
+        if rank <= 3:
+            name = "rank3"
+        elif rank == 4:
+            name = "compression"
+        else:
+            name = "rankk"
     if name == "rank3":
         return enumerate_rank3(h, sink)
     if name == "rankk":
         return enumerate_rankk(h, sink)
     if name == "compression":
-        return enumerate_compression(h, sink, alpha=alpha)
+        return enumerate_compression(h, sink)
     if name == "oracle":
         from .instances import brute_force_enumerate
 
@@ -114,10 +110,7 @@ def _byte_words(j: int, b: int) -> str:
 
 
 def _cmd_enumeration(args: argparse.Namespace) -> int:
-    # Validates --alpha before reading the input, whichever engine runs.
-    _check_alpha(args.alpha)
     h = _read_input(args.input)
-    algorithm = _pick_algorithm(args.algorithm, h)
     out = sys.stdout
     words = byte_tables(h.n)
 
@@ -127,15 +120,15 @@ def _cmd_enumeration(args: argparse.Namespace) -> int:
     if args.command == "enumerate":
         if getattr(args, "canonical", False):
             collected: list[int] = []
-            stats = _run_engine(algorithm, h, args.alpha, collected.append)
+            stats = _run_engine(args.algorithm, h, collected.append)
             for mask in sorted(collected, key=edge_key):  # ascending vertex lists
                 out.write(line(mask))
         else:
-            stats = _run_engine(algorithm, h, args.alpha, lambda m: out.write(line(m)))
+            stats = _run_engine(args.algorithm, h, lambda m: out.write(line(m)))
     elif args.command == "count":
-        stats = _run_engine(algorithm, h, args.alpha, count_only)
+        stats = _run_engine(args.algorithm, h, count_only)
         out.write(f"{stats.outputs}\n")
-    elif args.command in ("minimum", "count-minimum"):
+    else:  # minimum, count-minimum
         best: int | None = None  # the first transversal of minimum size
         size, ties = h.n + 1, 0  # its size (n + 1 before any), and how many have it
 
@@ -147,21 +140,11 @@ def _cmd_enumeration(args: argparse.Namespace) -> int:
             elif c == size:
                 ties += 1
 
-        stats = _run_engine(algorithm, h, args.alpha, tally)
+        stats = _run_engine(args.algorithm, h, tally)
         if args.command == "count-minimum":
             out.write(f"{ties}\n")
         elif best is not None:
             out.write(line(best))
-    else:  # bench
-        started = time.perf_counter()
-        stats = _run_engine(algorithm, h, args.alpha, count_only)
-        elapsed = time.perf_counter() - started
-        out.write(
-            f"algorithm={algorithm} n={h.n} edges={len(h.edge_masks())} rank={h.rank()} "
-            f"outputs={stats.outputs} nodes={stats.nodes} leaves={stats.leaves} "
-            f"max_depth={stats.max_depth}\n"
-        )
-        sys.stderr.write(f"time_s={elapsed:.3f}\n")
 
     if args.stats:
         sys.stderr.write(
@@ -223,13 +206,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code or 0)
     try:
-        if args.command in ENUM_COMMANDS:
-            return _cmd_enumeration(args)
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "verify-measure":
-            return _cmd_verify_measure(args)
-        return _cmd_bounds_table(args)
+        return args.run(args)
     except UnsupportedInstanceError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

@@ -34,17 +34,17 @@ projected edge misses N and the rest of Y. So the set is minimal iff
 every member of N has an edge that no other member of N and no member
 of Y hits: the kernel's crit test (`hypergraph._crit_key`) with no edge
 outside gives each member's private edges, and Y must miss one of each.
-X, N and each Y stay masks; N's vertex mask is built from the counter
-only when its key is new or its stored Y list is not empty.
+X, N and each Y stay masks. N steps through X's submasks in increasing
+order: the binary-counter order, bit j standing for X's j-th vertex.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from itertools import combinations
 
-from .bitsets import iter_bits, mask_of
+from .bitsets import iter_bits, mask_of, set_of
 from .hypergraph import Hypergraph, SearchStats, TransversalSink, _crit_key
 from .rank3 import enumerate_rank3
 from .rankk import enumerate_rankk
@@ -76,14 +76,14 @@ def project(h: Hypergraph, x: Iterable[int] | int, n_sub: Iterable[int] | int) -
     return Hypergraph._from_masks(h.n, (e & keep for e in h.edge_masks() if not e & nm))
 
 
-def _first_split(h: Hypergraph, size: int) -> tuple[tuple[int, ...] | None, int]:
-    """The first transversal of `size` vertices in lexicographic order (or None), and the subsets scanned."""
+def _first_split(h: Hypergraph, size: int) -> tuple[int | None, int]:
+    """The mask of the first transversal of `size` vertices in lexicographic order (or None), and the subsets scanned."""
     scanned = 0
     for picked in combinations([1 << v for v in range(1, h.n + 1)], size):
         scanned += 1
         sm = sum(picked)  # their union, as the bits are distinct
         if h.is_transversal(sm):
-            return tuple(iter_bits(sm)), scanned
+            return sm, scanned
     return None, scanned
 
 
@@ -93,8 +93,8 @@ def find_split(h: Hypergraph, alpha: float = DEFAULT_ALPHA) -> frozenset[int] | 
     alpha must lie in [0.5, 1], as for `enumerate_compression`.
     """
     _check_alpha(alpha)
-    xs = _first_split(h, math.floor(alpha * h.n))[0]
-    return None if xs is None else frozenset(xs)
+    xm = _first_split(h, math.floor(alpha * h.n))[0]
+    return None if xm is None else set_of(xm)
 
 
 def enumerate_compression(h: Hypergraph, sink: TransversalSink, *, alpha: float = DEFAULT_ALPHA) -> SearchStats:
@@ -110,9 +110,9 @@ def enumerate_compression(h: Hypergraph, sink: TransversalSink, *, alpha: float 
     _check_alpha(alpha)
     stats = SearchStats()
     size = math.floor(alpha * h.n)
-    anchor, stats.nodes = _first_split(h, size)
+    xm, stats.nodes = _first_split(h, size)
 
-    if anchor is None:
+    if xm is None:
         # Minimum transversal size exceeds `size`: every minimal transversal
         # sits in the scanned range.
         bits = [1 << v for v in range(1, h.n + 1)]
@@ -130,19 +130,15 @@ def enumerate_compression(h: Hypergraph, sink: TransversalSink, *, alpha: float 
     # the tests patch them there.
     inner = enumerate_rank3 if h.rank() <= 4 else enumerate_rankk
 
-    # N is an anchor-local counter: bit j stands for anchor[j]. Its key,
-    # equal for exactly the N with equal projections, comes from one table.
-    full = (1 << len(anchor)) - 1
-    xm = mask_of(anchor)
-    keys = _key_table(h.edge_masks(), anchor)
+    # One key per N, equal for exactly the N with equal projections. The c-th
+    # N has key keys[full ^ c] = keys[full - c], so the loop reads keys backwards.
+    keys = _key_table(h.edge_masks(), xm)
     # Per distinct key: the inner outputs Y as masks, each with the edges it hits.
     memo: dict[int, tuple[list[tuple[int, int]], SearchStats]] = {}
 
-    for counter in range(full + 1):
-        key = keys[full ^ counter]
+    n_mask = 0
+    for key in reversed(keys):
         hit = memo.get(key)
-        if hit is None or hit[0]:  # N's mask is needed to project or to emit
-            n_mask = mask_of(anchor[j] for j in iter_bits(counter))
         if hit is None:
             found: list[int] = []
             inner_stats = inner(project(h, xm, n_mask), found.append)
@@ -158,25 +154,25 @@ def enumerate_compression(h: Hypergraph, sink: TransversalSink, *, alpha: float 
         stats.nodes += inner_stats.nodes
         stats.leaves += inner_stats.leaves
         stats.max_depth = max(stats.max_depth, inner_stats.max_depth)
+        n_mask = (n_mask - xm) & xm  # the next submask of X
     return stats
 
 
-def _key_table(edge_masks: Iterable[int], anchor: Sequence[int]) -> list[int]:
+def _key_table(edge_masks: Iterable[int], xm: int) -> list[int]:
     """keys[S]: a bitmap over the distinct outside-X parts of the edges whose
-    inside-X part lies in S, an anchor-local set (bit j for anchor[j]).
+    inside-X part lies in S, a set over X (bit j for X's j-th lowest vertex).
 
     N's projection keeps the outside parts of exactly the edges whose
-    inside part avoids N, so keys[full ^ N] is equal for two N iff their
-    projections are. Each edge ORs its outside part's bit into the slot of
-    its exact inside part; the subset-OR (zeta) transform then gathers the
-    slots of every subset in O(|X| 2^|X|) ORs (Bjorklund, Husfeldt, Kaski
-    and Koivisto, "Fourier meets Mobius: fast subset convolution", STOC
-    2007).
+    inside part avoids N, so keys[full ^ N] (full: all of X) is equal for
+    two N iff their projections are. Each edge ORs its outside part's bit
+    into the slot of its exact inside part; the subset-OR (zeta) transform
+    then gathers the slots of every subset in O(|X| 2^|X|) ORs (Bjorklund,
+    Husfeldt, Kaski and Koivisto, "Fourier meets Mobius: fast subset
+    convolution", STOC 2007).
     """
-    local = {v: 1 << j for j, v in enumerate(anchor)}
-    xm = mask_of(anchor)
+    local = {v: 1 << j for j, v in enumerate(iter_bits(xm))}
     outside_bit: dict[int, int] = {}
-    keys = [0] * (1 << len(anchor))
+    keys = [0] * (1 << len(local))
     for e in edge_masks:
         inside = 0
         for v in iter_bits(e & xm):

@@ -101,6 +101,8 @@ def gen_random(k: int, n: int, m: int, seed: int) -> Hypergraph:
         raise ValueError("k must be at least 1")
     if n < k:
         raise ValueError("need n >= k so that every edge size 1..k fits")
+    if m < 0:
+        raise ValueError("m must be at least 0")
     available = sum(math.comb(n, s) for s in range(1, k + 1))
     if m > available:
         raise ValueError(f"m={m} infeasible: only {available} distinct edges of size 1..{k} exist")

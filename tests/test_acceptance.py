@@ -199,7 +199,6 @@ def test_criterion_7_determinism():
             ["count"],
             ["minimum"],
             ["count-minimum"],
-            ["bench"],
         ]
         if h.rank() == 4:
             per_instance.append(["enumerate", "--algorithm", "compression"])
@@ -210,8 +209,7 @@ def test_criterion_7_determinism():
             codes = {code for code, _, _ in runs}
             outs = {out for _, out, _ in runs}
             assert codes == {0} and len(outs) == 1, f"nondeterministic {argv}"
-            if argv[-1] != "bench":  # bench writes wall time to stderr
-                assert len({err for _, _, err in runs}) == 1, f"nondeterministic stderr {argv}"
+            assert len({err for _, _, err in runs}) == 1, f"nondeterministic stderr {argv}"
             commands_run += 1
     for argv in (
         ["verify-measure"],

@@ -188,19 +188,23 @@ class TestScalarCommands:
             _, smallest, _ = run_cli(["minimum"], stdin_text=text)
             assert len(smallest.split()) == min(sizes)
 
-    def test_bench_summary(self):
-        code, out, err = run_cli(["bench"], stdin_text=TRIANGLE_TEXT)
-        assert code == 0
-        assert out.startswith("algorithm=rank3 n=3 edges=3 rank=2 outputs=3 ")
-        assert err.startswith("time_s=")
-
     def test_auto_policy_by_rank(self):
-        _, out, _ = run_cli(["bench"], stdin_text="p hg 4 1\n1 2 3 4\n")
-        assert out.startswith("algorithm=compression ")
-        _, out, _ = run_cli(["bench"], stdin_text="p hg 5 1\n1 2 3 4 5\n")
-        assert out.startswith("algorithm=rankk ")
-        _, out, _ = run_cli(["bench"], stdin_text="p hg 2 0\n")
-        assert out.startswith("algorithm=rank3 ")
+        # auto's stats line is its engine's, and on each input every other
+        # engine that runs prints a different one
+        for text, engine in (
+            (TRIANGLE_TEXT, "rank3"),
+            (TWO_TRIPLES, "rank3"),
+            ("p hg 4 1\n1 2 3 4\n", "compression"),
+            ("p hg 5 1\n1 2 3 4 5\n", "rankk"),
+        ):
+            errs = {}
+            for algorithm in ("auto", "rank3", "rankk", "compression", "oracle"):
+                code, _, err = run_cli(["count", "--stats", "--algorithm", algorithm], stdin_text=text)
+                if code == 0:
+                    errs[algorithm] = err
+            want = errs.pop(engine)
+            assert errs.pop("auto") == want
+            assert errs and want not in errs.values(), (text, errs)
 
 
 class TestExitCodes:
@@ -242,21 +246,15 @@ class TestExitCodes:
         code, _, _ = run_cli(["enumerate", "--algorithm", "magic"], stdin_text=TRIANGLE_TEXT)
         assert code == 2
 
-    def test_bad_alpha(self):
-        code, _, _ = run_cli(
-            ["count", "--algorithm", "compression", "--alpha", "0.3"],
-            stdin_text="p hg 4 1\n1 2 3 4\n",
-        )
-        assert code == 2
-
     @pytest.mark.parametrize(
         "text", [TRIANGLE_TEXT, TWO_TRIPLES, "p hg 4 1\n1 2 3 4\n", "p hg 5 1\n1 2 3 4 5\n"],
         ids=["rank2", "rank3", "rank4", "rank5"],
     )
-    def test_bad_alpha_rejected_for_every_rank(self, text):
-        # --alpha is checked before the engine is picked, not only by compression
-        code, out, err = run_cli(["count", "--alpha", "0.3"], stdin_text=text)
-        assert (code, out, err) == (2, "", "error: alpha must lie in [0.5, 1]\n")
+    def test_removed_forms_rejected(self, text):
+        # bench is no command and --alpha no option: usage errors at every rank
+        for argv in (["bench"], ["count", "--alpha", "0.5"]):
+            code, out, _ = run_cli(argv, stdin_text=text)
+            assert (code, out) == (2, "")
 
     @pytest.mark.parametrize("algorithm", ["rank3", "rankk"])
     def test_invariant_breach(self, monkeypatch, algorithm):
@@ -299,6 +297,10 @@ class TestGenerate:
     def test_random_requires_m(self):
         code, _, _ = run_cli(["generate", "--kind", "random", "--k", "3", "--n", "8"])
         assert code == 2
+
+    def test_random_negative_m(self):
+        code, out, err = run_cli(["generate", "--kind", "random", "--k", "2", "--n", "4", "--m", "-3"])
+        assert (code, out, err) == (2, "", "error: m must be at least 0\n")
 
     def test_random_infeasible(self):
         code, _, err = run_cli(

@@ -113,10 +113,11 @@ class TestPhaseOneScan:
         for h in self.CASES:
             size = math.floor(alpha * h.n)
             calls = 0
-            got = _first_split(h, size)
-            assert got == reference_split(h, size)
-            assert calls == got[1]  # one traced transversal test per subset
-            assert find_split(h, alpha) == (None if got[0] is None else frozenset(got[0]))
+            xm, scanned = _first_split(h, size)
+            xs, position = reference_split(h, size)
+            assert (xm, scanned) == (None if xs is None else mask_of(xs), position)
+            assert calls == scanned  # one traced transversal test per subset
+            assert find_split(h, alpha) == (None if xs is None else frozenset(xs))
 
     def test_no_anchor_counters(self):
         for h in self.CASES:
@@ -367,7 +368,7 @@ class TestPhase2Masks:
     def test_keys_partition_subsets_like_projections(self, deck, alpha, inner):
         for h, x, subsets in anchored(deck, alpha):
             full = (1 << len(x)) - 1
-            keys = _key_table(h.edge_masks(), sorted(x))
+            keys = _key_table(h.edge_masks(), mask_of(x))
             by_key, by_projection = defaultdict(set), defaultdict(set)
             for counter, n_sub in subsets:
                 by_key[keys[full ^ counter]].add(counter)

@@ -110,6 +110,11 @@ class TestRandom:
         h = gen_random(k=2, n=4, m=10, seed=3)
         assert len(h.edges) == 10
 
+    def test_negative_m_rejected(self):
+        with pytest.raises(ValueError, match="m must be at least 0"):
+            gen_random(k=2, n=4, m=-3, seed=0)
+        assert gen_random(k=2, n=4, m=0, seed=0).edges == ()
+
     def test_k_larger_than_n_rejected(self):
         with pytest.raises(ValueError):
             gen_random(k=5, n=4, m=2, seed=0)
