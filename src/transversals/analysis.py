@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import product
 from typing import NamedTuple
 
 from .bitsets import iter_bits
@@ -46,6 +47,9 @@ FAMILIES = (
 #: Families whose rows are branching inequalities sum 2^(-eta) <= 1.
 BRANCHING_FAMILIES = frozenset(FAMILIES[2:])
 
+#: A row passes when its slack is at least -TOLERANCE.
+TOLERANCE = 1e-6
+
 
 @dataclass(frozen=True)
 class Weights:
@@ -63,6 +67,8 @@ class Weights:
     def __post_init__(self) -> None:
         if len(self.omega) != 7 or len(self.psi) != 7:
             raise ValueError("need omega_0..omega_6 and psi_0..psi_6")
+        if not all(map(math.isfinite, self.omega + self.psi)):
+            raise ValueError("weights must be finite")
         if any(x < 0 for x in self.omega) or any(x < 0 for x in self.psi):
             raise ValueError("weights must be non-negative")
         if self.omega[6] != self.omega[5]:
@@ -181,12 +187,8 @@ class ConstraintReport:
         return [r for r in self.family(name) if abs(r.slack) <= self.tolerance]
 
 
-def _lhs(*etas: float) -> float:
-    return sum(2.0 ** -e for e in etas)
-
-
-def verify_weights(w: Weights, tolerance: float = 1e-6) -> ConstraintReport:
-    """Evaluate every constraint family on its full parameter grid.
+def verify_weights(w: Weights) -> ConstraintReport:
+    """Evaluate every constraint family on its full parameter grid, at TOLERANCE.
 
     Parameter tuples per family:
       deltas    (kind, i)            difference-monotonicity rows
@@ -204,6 +206,11 @@ def verify_weights(w: Weights, tolerance: float = 1e-6) -> ConstraintReport:
     rows: list[ConstraintRow] = []
     add = rows.append
 
+    def branching(family: str, params: tuple, *etas: float) -> None:
+        """The row sum_i 2^(-eta_i) <= 1 for the measure decreases etas of one rule's branches."""
+        lhs = sum(2.0 ** -e for e in etas)
+        add(ConstraintRow(family, params, lhs, 1.0 - lhs))
+
     for i in range(1, 6):
         add(ConstraintRow("deltas", ("domega_nonneg", i + 1), w.d_omega(i + 1), w.d_omega(i + 1)))
         add(ConstraintRow("deltas", ("domega_monotone", i), w.d_omega(i + 1), w.d_omega(i) - w.d_omega(i + 1)))
@@ -214,87 +221,71 @@ def verify_weights(w: Weights, tolerance: float = 1e-6) -> ConstraintReport:
         lhs = w.psi_at(i) - w.psi_at(0)
         add(ConstraintRow("rule1_2", (i,), lhs, lhs + w.omega_at(i)))
 
-    for du in range(1, 7):
-        for m in range(1, 7):
-            lhs = _lhs(
-                w.omega_at(1) + w.omega_at(du) + w.d_psi(m),
-                w.omega_at(1) + w.omega_at(du) + w.psi_at(m) - w.psi_at(max(m - du, 0)),
-            )
-            add(ConstraintRow("c21", (du, m), lhs, 1.0 - lhs))
+    for du, m in product(range(1, 7), repeat=2):
+        branching(
+            "c21",
+            (du, m),
+            w.omega_at(1) + w.omega_at(du) + w.d_psi(m),
+            w.omega_at(1) + w.omega_at(du) + w.psi_at(m) - w.psi_at(max(m - du, 0)),
+        )
 
-    lhs = 3.0 * 2.0 ** (-3.0 * w.omega_at(1))
-    add(ConstraintRow("rule2_2", (), lhs, 1.0 - lhs))
+    branching("rule2_2", (), *[3.0 * w.omega_at(1)] * 3)
 
-    lhs = _lhs(2.0 * w.omega_at(1) + w.omega_at(2), w.omega_at(1))
-    add(ConstraintRow("rule2_3", (), lhs, 1.0 - lhs))
+    branching("rule2_3", (), 2.0 * w.omega_at(1) + w.omega_at(2), w.omega_at(1))
 
-    for du1 in range(2, 7):
-        for m in range(1, 7):
-            lhs = _lhs(
-                w.omega_at(du1) + w.d_omega(du1) + w.d_psi(m),
-                2.0 * w.omega_at(du1) + w.psi_at(m) - w.psi_at(m + du1 - 2),
-            )
-            add(ConstraintRow("c31", (du1, m), lhs, 1.0 - lhs))
+    for du1, m in product(range(2, 7), range(1, 7)):
+        branching(
+            "c31",
+            (du1, m),
+            w.omega_at(du1) + w.d_omega(du1) + w.d_psi(m),
+            2.0 * w.omega_at(du1) + w.psi_at(m) - w.psi_at(m + du1 - 2),
+        )
 
-    for dv in range(2, 7):
-        for du1 in range(2, 7):
-            for du2 in range(2, 7):
-                for m in range(2, 7):
-                    lhs = _lhs(
-                        w.omega_at(dv) + w.d_omega(du1) + w.d_omega(du2) + w.psi_at(m) - w.psi_at(m - 2),
-                        w.omega_at(dv)
-                        + w.omega_at(du1)
-                        + w.omega_at(du2)
-                        + w.psi_at(m)
-                        - w.psi_at(max(m - 4, 0) + dv - 2),
-                    )
-                    add(ConstraintRow("c32", (dv, du1, du2, m), lhs, 1.0 - lhs))
+    for dv, du1, du2, m in product(range(2, 7), repeat=4):
+        branching(
+            "c32",
+            (dv, du1, du2, m),
+            w.omega_at(dv) + w.d_omega(du1) + w.d_omega(du2) + w.psi_at(m) - w.psi_at(m - 2),
+            w.omega_at(dv) + w.omega_at(du1) + w.omega_at(du2) + w.psi_at(m) - w.psi_at(max(m - 4, 0) + dv - 2),
+        )
 
     for d2v in range(3, 7):
         for m in range(d2v, 7):
-            for du1 in range(2, 7):
-                for du2 in range(2, 7):
-                    for du3 in range(2, 7):
-                        dsum = du1 + du2 + du3
-                        lhs = _lhs(
-                            w.omega_at(d2v)
-                            + w.d_omega(du1)
-                            + w.d_omega(du2)
-                            + w.d_omega(du3)
-                            + w.psi_at(m)
-                            - w.psi_at(m - d2v),
-                            w.omega_at(d2v)
-                            + w.omega_at(du1)
-                            + w.omega_at(du2)
-                            + w.omega_at(du3)
-                            + (d2v - 3) * w.omega_at(2)
-                            + w.psi_at(m)
-                            - w.psi_at(max(m - dsum, 0)),
-                        )
-                        add(ConstraintRow("rule3_3", (d2v, m, du1, du2, du3), lhs, 1.0 - lhs))
+            for du1, du2, du3 in product(range(2, 7), repeat=3):
+                dsum = du1 + du2 + du3
+                branching(
+                    "rule3_3",
+                    (d2v, m, du1, du2, du3),
+                    w.omega_at(d2v)
+                    + w.d_omega(du1)
+                    + w.d_omega(du2)
+                    + w.d_omega(du3)
+                    + w.psi_at(m)
+                    - w.psi_at(m - d2v),
+                    w.omega_at(d2v)
+                    + w.omega_at(du1)
+                    + w.omega_at(du2)
+                    + w.omega_at(du3)
+                    + (d2v - 3) * w.omega_at(2)
+                    + w.psi_at(m)
+                    - w.psi_at(max(m - dsum, 0)),
+                )
 
     for dv in range(3, 7):
-        lhs = _lhs(
-            w.omega_at(dv) + 2.0 * dv * w.d_omega(dv),
-            w.omega_at(dv) + w.psi_at(0) - w.psi_at(dv),
-        )
-        add(ConstraintRow("c41", (dv,), lhs, 1.0 - lhs))
+        branching("c41", (dv,), w.omega_at(dv) + 2.0 * dv * w.d_omega(dv), w.omega_at(dv) + w.psi_at(0) - w.psi_at(dv))
 
-    lhs = _lhs(
-        2.0 * w.omega_at(2) + 2.0 * w.d_omega(2),
-        w.omega_at(2) + w.psi_at(0) - w.psi_at(2),
-    )
-    add(ConstraintRow("rule4_2", (), lhs, 1.0 - lhs))
+    branching("rule4_2", (), 2.0 * w.omega_at(2) + 2.0 * w.d_omega(2), w.omega_at(2) + w.psi_at(0) - w.psi_at(2))
 
-    lhs = _lhs(
+    branching(
+        "rule4_3",
+        (),
         4.0 * w.omega_at(2) + w.d_omega(2) - w.d_psi(1),
         2.0 * w.omega_at(2) + 3.0 * w.d_omega(2) - w.d_psi(1),
         w.omega_at(2) - w.d_psi(2),
     )
-    add(ConstraintRow("rule4_3", (), lhs, 1.0 - lhs))
 
     return ConstraintReport(
-        tolerance=tolerance,
+        tolerance=TOLERANCE,
         growth_base=w.growth_base,
         bound_base=ceil_at(w.growth_base, 4),
         rows=tuple(rows),
@@ -360,17 +351,17 @@ def _branching_poly(k: int, x: float) -> float:
     return total
 
 
-def branching_factor(k: int, tolerance: float = 1e-10) -> float:
+def branching_factor(k: int) -> float:
     """Positive real root of the rank-k branching recurrence.
 
     The defining function is strictly decreasing on (0, inf), positive at 1
     and negative at 2 for every k >= 2, so bisection on [1, 2] is exact up
-    to the requested tolerance.
+    to 1e-10.
     """
     if k < 2:
         raise ValueError("defined for k >= 2")
     lo, hi = 1.0, 2.0
-    while hi - lo > tolerance:
+    while hi - lo > 1e-10:
         mid = (lo + hi) / 2.0
         if _branching_poly(k, mid) > 0.0:
             lo = mid
@@ -404,10 +395,6 @@ class BoundsRow(NamedTuple):
     upper: float
 
 
-#: Rank-2 upper bound; classical maximal-independent-set count (Moon & Moser),
-#: cited rather than computed.
-RANK2_UPPER = 1.4423
-
 #: Rank-4 upper bound delivered by the iterative-compression engine.
 RANK4_UPPER = 1.8863
 
@@ -417,7 +404,7 @@ def bounds_table(k_max: int) -> list[BoundsRow]:
 
     Entries carry publication rounding: lower bases are floored and upper
     bases ceiled to 4 decimals (7 once 4 would read 2.0000). Uppers: the
-    cited rank-2 constant, the ceiled 2**omega_5 for rank 3, the
+    ceiled rank-2 lower base, the ceiled 2**omega_5 for rank 3, the
     iterative-compression constant for rank 4, the branching factor for
     k >= 5. Raw values come from lower_bound_base and branching_factor.
     """
@@ -426,7 +413,8 @@ def bounds_table(k_max: int) -> list[BoundsRow]:
     rows = []
     for k in range(2, k_max + 1):
         if k == 2:
-            upper = RANK2_UPPER
+            # Moon and Moser: no graph has more maximal independent sets than disjoint triangles.
+            upper = ceil_at(lower_bound_base(2), 4)
         elif k == 3:
             upper = ceil_at(DEFAULT_WEIGHTS.growth_base, 4)
         elif k == 4:

@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 failed measure verification, 2 input parse or
 usage failure, 3 algorithm/input mismatch (`--algorithm rank3` above
 rank 3; the other engines run at every rank), 4 internal invariant
-breach.
+breach, 141 (128 + SIGPIPE) when the reader closes stdout early.
 
 The enumeration commands import only the engines; the analysis toolbox
 and the instance generators load inside the commands that use them. The
@@ -16,6 +16,7 @@ to its vertex ids joined by spaces.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .bitsets import byte_entries, byte_tables, edge_key, iter_bits, mask_of
@@ -53,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="emit a generated instance in the input format")
     p.set_defaults(run=_cmd_generate)
-    p.add_argument("--kind", choices=("lb", "triangles", "random"), required=True)
+    p.add_argument("--kind", choices=("lb", "random"), required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=None)
@@ -62,7 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-measure", help="check the branching constraints of a weight table")
     p.set_defaults(run=_cmd_verify_measure)
     p.add_argument("--weights", default=None, help="weights file (default: built-in table)")
-    p.add_argument("--tolerance", type=float, default=1e-6)
 
     p = sub.add_parser("bounds-table", help="print lower/upper bound bases per rank")
     p.set_defaults(run=_cmd_bounds_table)
@@ -157,11 +157,7 @@ def _cmd_enumeration(args: argparse.Namespace) -> int:
 def _cmd_generate(args: argparse.Namespace) -> int:
     from .instances import gen_lower_bound, gen_random
 
-    if args.kind == "triangles":
-        if args.k not in (None, 2):
-            raise ParseError("--kind triangles fixes k at 2")
-        h = gen_lower_bound(2, args.n)
-    elif args.kind == "lb":
+    if args.kind == "lb":
         if args.k is None:
             raise ParseError("--kind lb requires --k")
         h = gen_lower_bound(args.k, args.n)
@@ -181,20 +177,19 @@ def _cmd_verify_measure(args: argparse.Namespace) -> int:
     else:
         with open(args.weights, encoding="utf-8") as handle:
             weights = load_weights(handle.read())
-    report = verify_weights(weights, tolerance=args.tolerance)
+    report = verify_weights(weights)
     sys.stdout.write(format_report(report))
     return 0 if report.passed else 1
 
 
 def _cmd_bounds_table(args: argparse.Namespace) -> int:
-    from .analysis import bounds_table
+    from .analysis import bounds_table, ceil_at
 
     if args.kmax < 2:
         raise ParseError("--kmax must be at least 2")
     sys.stdout.write("k lower upper\n")
     for row in bounds_table(args.kmax):
-        scaled = row.upper * 10_000
-        digits = 4 if abs(scaled - round(scaled)) < 1e-4 else 7
+        digits = 4 if ceil_at(row.upper, 4) < 2.0 else 7  # bounds_table's rounding rule
         sys.stdout.write(f"{row.k} {row.lower:.4f} {row.upper:.{digits}f}\n")
     return 0
 
@@ -206,7 +201,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code or 0)
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed pipe then fails here, not at the interpreter's exit
+        return code
+    except BrokenPipeError:
+        # The reader is gone: the exit flush writes what is left to devnull, and the code is SIGPIPE's.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except UnsupportedInstanceError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

@@ -104,12 +104,7 @@ def next_rule(inst: Instance) -> RuleId:
     if inner:
         supersets = [e for s in inner for e in edges if e & s == s and e.bit_count() == 3]
         if supersets:
-            first = supersets[0]
-            for e in supersets:
-                d = e ^ first
-                if e & d & -d:  # of two triples, the one with the lowest differing vertex
-                    first = e
-            return RuleId("R1_1", e=first)
+            return RuleId("R1_1", e=min(supersets, key=edge_key))
 
     if units:  # single-bit masks sort like their vertex ids
         return RuleId("R1_2", v=min(units).bit_length() - 1)

@@ -36,6 +36,7 @@ the same minimal transversals as the input; the leaf check runs on them.
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import cache
 from itertools import groupby
 
 from .bitsets import edge_key, iter_bits
@@ -76,14 +77,6 @@ def _derive_subsumed(subsumed: set[int], parent: frozenset[int], child: frozense
     return out
 
 
-class _EdgeKeys(dict):
-    """Canonical edge keys, memoized for the masks of one run."""
-
-    def __missing__(self, mask: int) -> tuple[bytes, int]:
-        key = self[mask] = edge_key(mask)
-        return key
-
-
 def _choose_b2(
     edges: frozenset[int], key: Callable[[int], tuple[bytes, int]] = edge_key
 ) -> tuple[int, int, tuple[int, ...]]:
@@ -120,7 +113,7 @@ def _branch_step() -> BranchStep:
     strictly contain another of its edges; the canonical edge order is
     memoized for the run.
     """
-    key = _EdgeKeys().__getitem__
+    key = cache(edge_key)
 
     def branch(inst: Instance, subsumed: set[int]) -> list[tuple[Instance, set[int]]]:
         edges = inst.emasks

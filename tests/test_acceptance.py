@@ -65,7 +65,7 @@ def test_criterion_2_lower_bound_counts():
 
 def test_criterion_3_measure_verification():
     """All 11 families pass at 1e-6; bound base and tight tuples as published."""
-    rep = verify_weights(tv.DEFAULT_WEIGHTS, tolerance=1e-6)
+    rep = verify_weights(tv.DEFAULT_WEIGHTS)
     families_pass = rep.passed and len({r.family for r in rep.rows}) == 11
 
     # raw 2**omega_5 = 1.6754417..; the running-time base carried by the

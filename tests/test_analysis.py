@@ -44,6 +44,14 @@ class TestWeights:
     def test_growth_base(self):
         assert DEFAULT_WEIGHTS.growth_base == pytest.approx(1.675441706, abs=1e-9)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, bad):
+        good = DEFAULT_WEIGHTS
+        with pytest.raises(ValueError, match="finite"):
+            Weights(good.omega[:5] + (bad, bad), good.psi)
+        with pytest.raises(ValueError, match="finite"):
+            Weights(good.omega, (bad,) + good.psi[1:])
+
 
 class TestMeasure:
     def test_edgeless(self):
@@ -83,9 +91,14 @@ class TestMeasure:
 
 class TestVerifyWeights:
     def test_default_table_passes(self):
-        report = verify_weights(DEFAULT_WEIGHTS, tolerance=1e-6)
+        report = verify_weights(DEFAULT_WEIGHTS)
         assert report.passed
         assert report.max_lhs <= 1.0 + 1e-6
+
+    def test_tolerance_is_fixed(self):
+        assert verify_weights(DEFAULT_WEIGHTS).tolerance == 1e-6
+        with pytest.raises(TypeError):
+            verify_weights(DEFAULT_WEIGHTS, tolerance=0.5)
 
     def test_family_row_counts(self):
         report = verify_weights(DEFAULT_WEIGHTS)
@@ -99,7 +112,7 @@ class TestVerifyWeights:
         assert len(report.family("c41")) == 4
 
     def test_tight_tuples(self):
-        report = verify_weights(DEFAULT_WEIGHTS, tolerance=1e-6)
+        report = verify_weights(DEFAULT_WEIGHTS)
         assert {r.params for r in report.tight("c21")} == {(5, 5), (6, 5), (6, 6)}
         assert (2, 1) in {r.params for r in report.tight("c31")}
         assert {r.params for r in report.tight("c32")} == {(2, 6, 6, 2), (2, 6, 6, 3), (2, 6, 6, 4)}
@@ -187,7 +200,7 @@ class TestBranchingFactor:
 
     def test_root_residual_small(self):
         for k in range(2, 31):
-            assert abs(_branching_poly(k, branching_factor(k, 1e-10))) <= 1e-9
+            assert abs(_branching_poly(k, branching_factor(k))) <= 1e-9
 
     def test_monotone_and_below_two(self):
         values = [branching_factor(k) for k in range(2, 31)]

@@ -1,6 +1,9 @@
 import io
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +13,7 @@ from transversals.bitsets import set_of
 
 from helpers import packed_blocks
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 TRIANGLE_TEXT = "p hg 3 3\n1 2\n1 3\n2 3\n"
 TWO_TRIPLES = "p hg 5 2\n1 2 3\n3 4 5\n"
 
@@ -246,6 +250,22 @@ class TestExitCodes:
         code, _, _ = run_cli(["enumerate", "--algorithm", "magic"], stdin_text=TRIANGLE_TEXT)
         assert code == 2
 
+    def test_reader_closes_the_pipe(self, tmp_path):
+        # like `transversals enumerate lb3-30.hg | head -1`: 141 (128 + SIGPIPE), and stderr stays empty
+        path = tmp_path / "lb3-30.hg"
+        path.write_text(serialize_hypergraph(tv.gen_lower_bound(3, 30)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "transversals.cli", "enumerate", str(path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), first, err) == (141, b"1 2 3 6 7 8 11 12 13 16 17 18 21 22 23 26 27 28\n", b"")
+
     @pytest.mark.parametrize(
         "text", [TRIANGLE_TEXT, TWO_TRIPLES, "p hg 4 1\n1 2 3 4\n", "p hg 5 1\n1 2 3 4 5\n"],
         ids=["rank2", "rank3", "rank4", "rank5"],
@@ -280,11 +300,10 @@ class TestGenerate:
         assert out == "p hg 3 3\n1 2\n1 3\n2 3\n"
 
     def test_triangles_fixed_k(self):
-        code, out, _ = run_cli(["generate", "--kind", "triangles", "--n", "6"])
-        assert code == 0
-        assert out.startswith("p hg 6 6\n")
-        code, _, _ = run_cli(["generate", "--kind", "triangles", "--k", "3", "--n", "6"])
-        assert code == 2
+        # the k=2 packed blocks are `--kind lb --k 2`; neither removed option parses
+        for args in (["generate", "--kind", "triangles", "--n", "6"], ["verify-measure", "--tolerance", "0.5"]):
+            code, out, _ = run_cli(args)
+            assert (code, out) == (2, "")
 
     def test_random_deterministic(self):
         args = ["generate", "--kind", "random", "--k", "3", "--n", "8", "--m", "10", "--seed", "1"]
@@ -352,6 +371,15 @@ class TestVerifyMeasure:
         code, _, err = run_cli(["verify-measure", "--weights", str(path)])
         assert code == 2
 
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_weights_rejected(self, tmp_path, bad):
+        w = tv.DEFAULT_WEIGHTS
+        lines = [f"omega_{i} {w.omega[i]!r}" for i in range(5)] + [f"omega_5 {bad}", f"omega_6 {bad}"]
+        lines += [f"psi_{i} {w.psi[i]!r}" for i in range(7)]
+        path = tmp_path / "w.txt"
+        path.write_text("\n".join(lines))
+        assert run_cli(["verify-measure", "--weights", str(path)]) == (2, "", "error: weights must be finite\n")
+
 
 class TestBoundsTable:
     def test_golden_prefix(self):
@@ -369,6 +397,14 @@ class TestBoundsTable:
         code, out, _ = run_cli(["bounds-table", "--kmax", "20"])
         assert code == 0
         assert out.splitlines()[-1] == "20 1.8962 1.9999988"
+
+    def test_seven_decimals_once_four_read_two(self):
+        # from k = 24 the 7-decimal ceiling is 2.0000000 itself
+        code, out, _ = run_cli(["bounds-table", "--kmax", "30"])
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[22:24] == ["23 1.9068 1.9999999", "24 1.9098 2.0000000"]
+        assert lines[-1] == "30 1.9242 2.0000000"
 
     def test_kmax_validated(self):
         code, _, _ = run_cli(["bounds-table", "--kmax", "1"])
