@@ -1,9 +1,6 @@
 """Bitmask helpers. Vertex id v maps to bit v; bit 0 is unused."""
 
 from collections.abc import Callable, Iterable, Iterator
-from typing import TypeVar
-
-_T = TypeVar("_T")
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -49,26 +46,31 @@ def edge_key(mask: int) -> tuple[bytes, int]:
     return gaps.to_bytes((gaps.bit_length() + 7) >> 3, "little").translate(_REVERSED), top
 
 
-def byte_tables(n: int) -> list[dict[int, _T]]:
-    """One empty table per byte of a mask on bits 0..n, for byte_entries."""
-    return [{} for _ in range((n >> 3) + 1)]
+class ByteTable(dict):
+    """The table of byte position j: byte value b -> fill(j, b), computed
+    on the first lookup and kept, so a table holds at most 256 entries.
 
-
-def byte_entries(mask: int, tables: list[dict[int, _T]], fill: Callable[[int, int], _T]) -> list[_T]:
-    """The entries of mask's nonzero bytes, lowest byte first.
-
-    Byte j holds bits 8j..8j+7; its entry for byte value b is
-    tables[j][b], computed as fill(j, b) on first use and kept, so a table
-    holds at most 256 entries. mask must be non-negative and fit in
-    len(tables) bytes. fill must be a function of (j, b): two callers that
-    fill one entry at once then store the same value.
+    Byte j of a mask holds bits 8j..8j+7. fill must be a function of
+    (j, b): two callers that fill one entry at once then store the same
+    value.
     """
-    entries = []
-    for j, b in enumerate(mask.to_bytes(len(tables), "little")):
-        if b:
-            table = tables[j]
-            entry = table.get(b)
-            if entry is None:
-                entry = table[b] = fill(j, b)
-            entries.append(entry)
-    return entries
+
+    __slots__ = ("j", "fill")
+
+    def __init__(self, j: int, fill: Callable[[int, int], object]) -> None:
+        self.j, self.fill = j, fill
+
+    def __missing__(self, b: int):
+        entry = self[b] = self.fill(self.j, b)
+        return entry
+
+
+def byte_tables(n: int, fill: Callable[[int, int], object]) -> list[ByteTable]:
+    """One table per byte of a mask on bits 0..n, each filled by fill."""
+    return [ByteTable(j, fill) for j in range((n >> 3) + 1)]
+
+
+def byte_entries(mask: int, tables: list[ByteTable]) -> list:
+    """The entries of mask's nonzero bytes, lowest byte first. mask must be
+    non-negative and fit in len(tables) bytes."""
+    return [tables[j][b] for j, b in enumerate(mask.to_bytes(len(tables), "little")) if b]

@@ -1,30 +1,43 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 failed measure verification, 2 input parse or
-usage failure, 3 algorithm/input mismatch (`--algorithm rank3` above
-rank 3; the other engines run at every rank), 4 internal invariant
-breach, 141 (128 + SIGPIPE) when the reader closes stdout early.
+usage failure (also when stdout is closed), 3 algorithm/input mismatch
+(`--algorithm rank3` above rank 3; the other engines run at every rank),
+4 internal invariant breach, 141 (128 + SIGPIPE) when the reader closes
+stdout early.
 
-The enumeration commands import only the engines; the analysis toolbox
-and the instance generators load inside the commands that use them. The
-engines hand each transversal over as a vertex mask (bit v for vertex
-v); sizes are bit counts, and a line joins one string per byte of the
-mask, taken from per-run tables that map each byte value, on first use,
-to its vertex ids joined by spaces.
+The enumeration commands import only the engine they run: `cli`'s
+`enumerate_rank3`, `enumerate_rankk` and `enumerate_compression` load
+their module on the first call (compression loads the other two). The
+analysis toolbox and the instance generators load inside the commands
+that use them.
+
+The engines hand each transversal over as a vertex mask (bit v for
+vertex v); sizes are bit counts. Output lines are formatted and written
+in blocks of up to `_BLOCK` masks and `_BLOCK_BYTES` bytes, one by one
+when stdout is line-buffered (a terminal): the block's masks become
+little-endian bytes, and each byte maps, through one per-run
+`bitsets.ByteTable` per byte position, to its vertex ids, each after a
+space, the table of the last position adding the line end.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
+from collections.abc import Callable
+from itertools import cycle
 
-from .bitsets import byte_entries, byte_tables, edge_key, iter_bits, mask_of
-from .compression import enumerate_compression
+from .bitsets import byte_tables, edge_key, iter_bits, mask_of
 from .errors import ParseError, SearchInvariantError, UnsupportedInstanceError
-from .hypergraph import Hypergraph, SearchStats, count_only, parse_hypergraph, serialize_hypergraph
-from .rank3 import enumerate_rank3
-from .rankk import enumerate_rankk
+from .hypergraph import Hypergraph, SearchStats, TransversalSink, count_only, parse_hypergraph, serialize_hypergraph
+
+#: At most this many masks per block, and at most this many bytes of lines:
+#: stdout's buffer size, so each block's `write` comes no later than the
+#: same lines written one by one would have filled the buffer.
+_BLOCK, _BLOCK_BYTES = 256, 8192
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,7 +91,28 @@ def _read_input(path: str) -> Hypergraph:
         return parse_hypergraph(handle.read())
 
 
-def _run_engine(name: str, h: Hypergraph, sink) -> SearchStats:
+def enumerate_rank3(h: Hypergraph, sink: TransversalSink) -> SearchStats:
+    """rank3's engine, its module loaded on the first call."""
+    from .rank3 import enumerate_rank3 as engine
+
+    return engine(h, sink)
+
+
+def enumerate_rankk(h: Hypergraph, sink: TransversalSink) -> SearchStats:
+    """rankk's engine, its module loaded on the first call."""
+    from .rankk import enumerate_rankk as engine
+
+    return engine(h, sink)
+
+
+def enumerate_compression(h: Hypergraph, sink: TransversalSink) -> SearchStats:
+    """compression's engine, its module (and both inner engines) loaded on the first call."""
+    from .compression import enumerate_compression as engine
+
+    return engine(h, sink)
+
+
+def _run_engine(name: str, h: Hypergraph, sink: TransversalSink) -> SearchStats:
     if name == "auto":
         rank = h.rank()
         if rank <= 3:
@@ -104,27 +138,63 @@ def _run_engine(name: str, h: Hypergraph, sink) -> SearchStats:
     raise ValueError(f"unknown algorithm {name!r}")
 
 
-def _byte_words(j: int, b: int) -> str:
-    """The ids of the vertices 8j..8j+7 picked by the bits of b, ascending, joined by spaces."""
-    return " ".join(map(str, iter_bits(b << 8 * j)))
+def _formatter(n: int) -> Callable[[list[int]], str]:
+    """lines(masks): the output lines of masks on the vertices 1..n, as one string."""
+    width = (n >> 3) + 1  # bytes per mask, bit 0 included
+
+    def words(j: int, b: int) -> str:
+        """The vertices that b picks at byte position j, each after a space; the last position ends the line."""
+        return "".join(f" {v}" for v in iter_bits(b << 8 * j)) + ("\n" if j == width - 1 else "")
+
+    tables = byte_tables(n, words)
+
+    def lines(masks: list[int]) -> str:
+        data = b"".join([m.to_bytes(width, "little") for m in masks])
+        # each line's words begin with a space; drop it
+        return "".join(map(dict.__getitem__, cycle(tables), data)).replace("\n ", "\n").removeprefix(" ")
+
+    return lines
+
+
+def _block_size(h: Hypergraph, out) -> int:
+    """Masks per write: 1 to a line-buffered stream (a terminal), else as
+    many as `_BLOCK` and `_BLOCK_BYTES` allow for lines of the longest
+    length possible. A minimal transversal has a private edge per member,
+    so it has at most min(n, m) members, each at most len(str(n)) + 1
+    bytes with its separator."""
+    if getattr(out, "line_buffering", False):
+        return 1
+    longest = min(h.n, len(h.edge_masks())) * (len(str(h.n)) + 1)
+    return min(_BLOCK, _BLOCK_BYTES // max(longest, 1))
 
 
 def _cmd_enumeration(args: argparse.Namespace) -> int:
     h = _read_input(args.input)
     out = sys.stdout
-    words = byte_tables(h.n)
-
-    def line(mask: int) -> str:
-        return " ".join(byte_entries(mask, words, _byte_words)) + "\n"
+    lines = _formatter(h.n)
+    block = _block_size(h, out)
 
     if args.command == "enumerate":
-        if getattr(args, "canonical", False):
+        if args.canonical:
             collected: list[int] = []
             stats = _run_engine(args.algorithm, h, collected.append)
-            for mask in sorted(collected, key=edge_key):  # ascending vertex lists
-                out.write(line(mask))
+            collected.sort(key=edge_key)  # ascending vertex lists
+            for i in range(0, len(collected), block):
+                out.write(lines(collected[i : i + block]))
         else:
-            stats = _run_engine(args.algorithm, h, lambda m: out.write(line(m)))
+            pending: list[int] = []
+
+            def emit(mask: int) -> None:
+                pending.append(mask)
+                if len(pending) == block:
+                    out.write(lines(pending))
+                    pending.clear()
+
+            try:
+                stats = _run_engine(args.algorithm, h, emit)
+            finally:  # lines found before an exception still come out
+                if pending:
+                    out.write(lines(pending))
     elif args.command == "count":
         stats = _run_engine(args.algorithm, h, count_only)
         out.write(f"{stats.outputs}\n")
@@ -144,7 +214,7 @@ def _cmd_enumeration(args: argparse.Namespace) -> int:
         if args.command == "count-minimum":
             out.write(f"{ties}\n")
         elif best is not None:
-            out.write(line(best))
+            out.write(lines([best]))
 
     if args.stats:
         sys.stderr.write(
@@ -201,6 +271,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code or 0)
     try:
+        if sys.stdout is None:  # fd 1 was closed when the interpreter started
+            raise OSError(errno.EBADF, "standard output is closed")
         code = args.run(args)
         sys.stdout.flush()  # a closed pipe then fails here, not at the interpreter's exit
         return code

@@ -27,16 +27,29 @@ outputs onto the partial set of the visit.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
+from functools import partial
 from itertools import filterfalse
 from operator import index
 from typing import Any
 
-from .bitsets import byte_entries, byte_tables, edge_key, iter_bits, set_of
+from .bitsets import ByteTable, byte_entries, byte_tables, edge_key, iter_bits, set_of
 from .errors import ParseError, SearchInvariantError
 
 #: Consumer invoked exactly once per enumerated minimal transversal, with
 #: its vertex mask (bit v for vertex v).
 TransversalSink = Callable[[int], None]
+
+
+def _fold_byte(inc: tuple[int, ...], j: int, b: int) -> tuple[int, int, tuple[int, ...]]:
+    """The fold of the vertices 8j..8j+7 picked by the bits of b: the
+    edges their incidence rows inc[v] hit once or more and twice or more,
+    and the rows as a tuple."""
+    rows = tuple(map(inc.__getitem__, iter_bits(b << 8 * j)))
+    once = twice = 0
+    for row in rows:
+        twice |= once & row
+        once |= row
+    return once, twice, rows
 
 
 class Hypergraph:
@@ -58,7 +71,7 @@ class Hypergraph:
         masks = {self._vertex_mask(e) for e in edges}
         self._masks: tuple[int, ...] = tuple(sorted(masks, key=edge_key))
         self._inc: tuple[int, ...] | None = None
-        self._folds: list[dict[int, tuple[int, int, tuple[int, ...]]]] | None = None
+        self._folds: list[ByteTable] | None = None
 
     @classmethod
     def _from_masks(cls, n: int, masks: Iterable[int]) -> Hypergraph:
@@ -125,15 +138,6 @@ class Hypergraph:
             self._inc = tuple(inc)
         return self._inc
 
-    def _fold_byte(self, j: int, b: int) -> tuple[int, int, tuple[int, ...]]:
-        """_fold of the vertices 8j..8j+7 picked by the bits of b, its rows as a tuple."""
-        rows = tuple(map(self._incidence().__getitem__, iter_bits(b << 8 * j)))
-        once = twice = 0
-        for row in rows:
-            twice |= once & row
-            once |= row
-        return once, twice, rows
-
     def _fold(self, s: int) -> tuple[int, int, list[int]]:
         """The edges that s, a range-checked mask, hits once or more and twice
         or more, and the incidence rows of its members in ascending order.
@@ -143,10 +147,10 @@ class Hypergraph:
         bytes combine as twice |= t | (once & o), once |= o.
         """
         if self._folds is None:
-            self._folds = byte_tables(self.n)
+            self._folds = byte_tables(self.n, partial(_fold_byte, self._incidence()))
         once = twice = 0
         rows: list[int] = []
-        for o, t, r in byte_entries(s, self._folds, self._fold_byte):
+        for o, t, r in byte_entries(s, self._folds):
             twice |= t | (once & o)
             once |= o
             rows += r

@@ -1,5 +1,6 @@
 import io
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -9,7 +10,7 @@ import pytest
 
 import transversals as tv
 from transversals import bitsets, cli, hypergraph, serialize_hypergraph
-from transversals.bitsets import set_of
+from transversals.bitsets import iter_bits, set_of
 
 from helpers import packed_blocks
 
@@ -18,8 +19,9 @@ TRIANGLE_TEXT = "p hg 3 3\n1 2\n1 3\n2 3\n"
 TWO_TRIPLES = "p hg 5 2\n1 2 3\n3 4 5\n"
 
 
-def run_cli(args, stdin_text=None):
-    out, err = io.StringIO(), io.StringIO()
+def run_cli(args, stdin_text=None, out=None):
+    out = io.StringIO() if out is None else out
+    err = io.StringIO()
     old_stdin = sys.stdin
     if stdin_text is not None:
         sys.stdin = io.StringIO(stdin_text)
@@ -29,6 +31,29 @@ def run_cli(args, stdin_text=None):
     finally:
         sys.stdin = old_stdin
     return code, out.getvalue(), err.getvalue()
+
+
+class Recorder:
+    """A stdout that keeps each write, line-buffered as on a terminal or not."""
+
+    def __init__(self, line_buffering):
+        self.line_buffering = line_buffering
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+    def getvalue(self):
+        return "".join(self.writes)
+
+
+def line(mask):
+    """The reference output line of a mask."""
+    return " ".join(map(str, iter_bits(mask))) + "\n"
 
 
 @pytest.fixture
@@ -127,6 +152,104 @@ class TestLinesAcrossByteBoundaries:
         assert run("enumerate", "--canonical") == (0, "".join(map(self.text, canonical)), "")
         first_minimum = min(found, key=len)
         assert run("minimum") == (0, self.text(first_minimum), "")
+
+
+class TestLines:
+    """Every enumeration command prints `line(mask)` per mask; `enumerate`
+    writes in blocks of up to 256 masks and 8 KB of lines, or one line at a
+    time to a line-buffered stdout."""
+
+    WIDTHS = [0, 1, 7, 8, 9, 15, 16, 17, 24, 25, 64, 200]
+
+    @staticmethod
+    def boundary_path(n):
+        """A path through the vertices in 1..n next to byte boundaries, n among them."""
+        ids = [v for v in (1, 7, 8, 9, 15, 16, 17, 24, 25, 63, 64, 65, 199, 200) if v <= n]
+        return tv.Hypergraph(n, [{u, v} for u, v in zip(ids, ids[1:])] or ([{1}] if n else []))
+
+    @staticmethod
+    def blocks(*sizes):
+        """Disjoint edges of the given sizes: the product of the sizes is the output count."""
+        edges, base = [], 0
+        for size in sizes:
+            edges.append(range(base + 1, base + size + 1))
+            base += size
+        return tv.Hypergraph(base, edges)
+
+    @staticmethod
+    def emitted(algorithm, h):
+        found = []
+        cli._run_engine(algorithm, h, found.append)
+        return found
+
+    @pytest.mark.parametrize("algorithm", ["rank3", "rankk"])
+    @pytest.mark.parametrize("n", WIDTHS)
+    def test_every_command_across_widths(self, n, algorithm):
+        h = self.boundary_path(n)
+        found = self.emitted(algorithm, h)
+        assert found and (n == 0 or max(found).bit_length() == n + 1)  # vertex n is in an output
+        run = lambda *cmd: run_cli([*cmd, "--algorithm", algorithm], stdin_text=serialize_hypergraph(h))
+        assert run("enumerate") == (0, "".join(map(line, found)), "")
+        canonical = sorted(found, key=lambda m: tuple(iter_bits(m)))
+        assert run("enumerate", "--canonical") == (0, "".join(map(line, canonical)), "")
+        assert run("minimum") == (0, line(min(found, key=int.bit_count)), "")
+
+    @pytest.mark.parametrize("n", WIDTHS)
+    def test_formatter_on_random_masks(self, n):
+        rng = random.Random(n)
+        masks = [rng.getrandbits(n + 1) & ~1 for _ in range(300)] + [0, (1 << (n + 1)) - 2]
+        assert cli._formatter(n)(masks) == "".join(map(line, masks))
+
+    @pytest.mark.parametrize(
+        "command", [["enumerate"], ["enumerate", "--canonical"], ["minimum"]], ids=["streamed", "canonical", "minimum"]
+    )
+    def test_edgeless_and_empty_edge(self, command):
+        # the empty set is the one transversal of an edgeless input; no set hits an empty edge
+        assert run_cli(command, stdin_text="p hg 9 0\n") == (0, "\n", "")
+        assert run_cli(command, stdin_text="p hg 9 2\n1 9\n\n") == (0, "", "")
+
+    @pytest.mark.parametrize(
+        "count, sizes",
+        [(255, (3, 5, 17)), (256, (2,) * 8), (257, (257,)), (513, (3, 3, 3, 19))],
+        ids=["255", "256", "257", "513"],
+    )
+    @pytest.mark.parametrize("command", [["enumerate"], ["enumerate", "--canonical"]], ids=["streamed", "canonical"])
+    def test_blocks_of_256(self, count, sizes, command):
+        h = self.blocks(*sizes)
+        found = self.emitted("auto", h)
+        if "--canonical" in command:
+            found.sort(key=lambda m: tuple(iter_bits(m)))
+        assert len(found) == count
+        out = Recorder(line_buffering=False)
+        assert run_cli(command, stdin_text=serialize_hypergraph(h), out=out) == (0, "".join(map(line, found)), "")
+        assert [text.count("\n") for text in out.writes] == [256] * (count // 256) + [count % 256] * (count % 256 > 0)
+
+        out = Recorder(line_buffering=True)
+        assert run_cli(command, stdin_text=serialize_hypergraph(h), out=out)[0] == 0
+        assert out.writes == list(map(line, found))
+
+    def test_wide_lines_make_smaller_blocks(self):
+        # 100 forced vertices and 9 pairs: 512 lines of at most 109 ids of 4 bytes each
+        h = self.blocks(*(1,) * 100, *(2,) * 9)
+        found = self.emitted("auto", h)
+        assert len(found) == 512
+        out = Recorder(line_buffering=False)
+        assert run_cli(["enumerate"], stdin_text=serialize_hypergraph(h), out=out) == (0, "".join(map(line, found)), "")
+        block = 8192 // (109 * 4)
+        assert [text.count("\n") for text in out.writes] == [block] * (512 // block) + [512 % block]
+        assert max(len(text) for text in out.writes) <= 8192
+
+    def test_lines_before_an_engine_error_come_out(self, monkeypatch):
+        masks = [m << 1 for m in range(300)]  # one full block and 44 lines pending
+
+        def emits_then_breaks(h, sink):
+            for m in masks:
+                sink(m)
+            raise tv.SearchInvariantError("broken after 300 outputs")
+
+        monkeypatch.setattr(cli, "enumerate_rank3", emits_then_breaks)
+        code, out, err = run_cli(["enumerate", "--algorithm", "rank3"], stdin_text="p hg 20 0\n")
+        assert (code, out, err) == (4, "".join(map(line, masks)), "internal error: broken after 300 outputs\n")
 
 
 class TestScalarCommands:
@@ -267,6 +390,21 @@ class TestExitCodes:
         assert (proc.wait(timeout=60), first, err) == (141, b"1 2 3 6 7 8 11 12 13 16 17 18 21 22 23 26 27 28\n", b"")
 
     @pytest.mark.parametrize(
+        "argv", [["count"], ["enumerate"], ["bounds-table", "--kmax", "3"]], ids=["count", "enumerate", "bounds-table"]
+    )
+    def test_closed_stdout(self, triangle_file, argv):
+        # like `transversals count f.hg >&-`: Python starts with sys.stdout None
+        if argv[0] != "bounds-table":
+            argv = [*argv, triangle_file]
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "transversals.cli", *argv],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"error: [Errno 9] standard output is closed\n")
+
+    @pytest.mark.parametrize(
         "text", [TRIANGLE_TEXT, TWO_TRIPLES, "p hg 4 1\n1 2 3 4\n", "p hg 5 1\n1 2 3 4 5\n"],
         ids=["rank2", "rank3", "rank4", "rank5"],
     )
@@ -291,6 +429,202 @@ class TestExitCodes:
         code, _, err = run_cli(["enumerate", "--algorithm", algorithm], stdin_text="p hg 3 3\n1 2\n1 3\n2 3\n")
         assert code == 4
         assert err.startswith("internal error:")
+
+
+#: Usage and help: (exit code, stdout, stderr) per argv, as the parser that
+#: builds every subcommand printed them under Python 3.10 and 3.11 with
+#: COLUMNS=80. Python 3.13 wraps the top-level usage line differently, and
+#: later releases print the choices of an invalid-choice error unquoted.
+TOP_USAGE = (
+    "usage: transversals [-h]\n"
+    "                    {enumerate,count,minimum,count-minimum,generate,verify-measure,bounds-table}\n"
+    "                    ...\n"
+)
+PARSER_GOLDENS = {
+    ("--help",): (
+        0,
+        TOP_USAGE + (
+            "\n"
+            "Enumerate all minimal transversals (minimal hitting sets) of a hypergraph.\n"
+            "\n"
+            "positional arguments:\n"
+            "  {enumerate,count,minimum,count-minimum,generate,verify-measure,bounds-table}\n"
+            "    enumerate           print every minimal transversal, one per line\n"
+            "    count               print the number of minimal transversals\n"
+            "    minimum             print one minimum-cardinality minimal transversal\n"
+            "    count-minimum       print the number of minimum-cardinality minimal\n"
+            "                        transversals\n"
+            "    generate            emit a generated instance in the input format\n"
+            "    verify-measure      check the branching constraints of a weight table\n"
+            "    bounds-table        print lower/upper bound bases per rank\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+        ),
+        "",
+    ),
+    (): (
+        2,
+        "",
+        TOP_USAGE + "transversals: error: the following arguments are required: command\n",
+    ),
+    ("enumerate", "--help"): (
+        0,
+        (
+            "usage: transversals enumerate [-h]\n"
+            "                              [--algorithm {auto,rank3,rankk,compression,oracle}]\n"
+            "                              [--stats] [--canonical]\n"
+            "                              [input]\n"
+            "\n"
+            "positional arguments:\n"
+            "  input                 input file (default: stdin)\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --algorithm {auto,rank3,rankk,compression,oracle}\n"
+            "  --stats               print node/leaf counters to stderr\n"
+            "  --canonical           buffer and sort the output\n"
+        ),
+        "",
+    ),
+    ("count", "--help"): (
+        0,
+        (
+            "usage: transversals count [-h]\n"
+            "                          [--algorithm {auto,rank3,rankk,compression,oracle}]\n"
+            "                          [--stats]\n"
+            "                          [input]\n"
+            "\n"
+            "positional arguments:\n"
+            "  input                 input file (default: stdin)\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --algorithm {auto,rank3,rankk,compression,oracle}\n"
+            "  --stats               print node/leaf counters to stderr\n"
+        ),
+        "",
+    ),
+    ("minimum", "--help"): (
+        0,
+        (
+            "usage: transversals minimum [-h]\n"
+            "                            [--algorithm {auto,rank3,rankk,compression,oracle}]\n"
+            "                            [--stats]\n"
+            "                            [input]\n"
+            "\n"
+            "positional arguments:\n"
+            "  input                 input file (default: stdin)\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --algorithm {auto,rank3,rankk,compression,oracle}\n"
+            "  --stats               print node/leaf counters to stderr\n"
+        ),
+        "",
+    ),
+    ("count-minimum", "--help"): (
+        0,
+        (
+            "usage: transversals count-minimum [-h]\n"
+            "                                  [--algorithm {auto,rank3,rankk,compression,oracle}]\n"
+            "                                  [--stats]\n"
+            "                                  [input]\n"
+            "\n"
+            "positional arguments:\n"
+            "  input                 input file (default: stdin)\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --algorithm {auto,rank3,rankk,compression,oracle}\n"
+            "  --stats               print node/leaf counters to stderr\n"
+        ),
+        "",
+    ),
+    ("generate", "--help"): (
+        0,
+        (
+            "usage: transversals generate [-h] --kind {lb,random} [--k K] --n N [--m M]\n"
+            "                             [--seed SEED]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help          show this help message and exit\n"
+            "  --kind {lb,random}\n"
+            "  --k K\n"
+            "  --n N\n"
+            "  --m M\n"
+            "  --seed SEED\n"
+        ),
+        "",
+    ),
+    ("verify-measure", "--help"): (
+        0,
+        (
+            "usage: transversals verify-measure [-h] [--weights WEIGHTS]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help         show this help message and exit\n"
+            "  --weights WEIGHTS  weights file (default: built-in table)\n"
+        ),
+        "",
+    ),
+    ("bounds-table", "--help"): (
+        0,
+        (
+            "usage: transversals bounds-table [-h] --kmax KMAX\n"
+            "\n"
+            "options:\n"
+            "  -h, --help   show this help message and exit\n"
+            "  --kmax KMAX\n"
+        ),
+        "",
+    ),
+    ("enumarate",): (
+        2,
+        "",
+        TOP_USAGE + (
+            "transversals: error: argument command: invalid choice: 'enumarate' (choose from 'enumerate', "
+            "'count', 'minimum', 'count-minimum', 'generate', 'verify-measure', 'bounds-table')\n"
+        ),
+    ),
+    ("enumerate", "--bogus"): (
+        2,
+        "",
+        TOP_USAGE + "transversals: error: unrecognized arguments: --bogus\n",
+    ),
+    ("count", "--algorithm", "nope"): (
+        2,
+        "",
+        (
+            "usage: transversals count [-h]\n"
+            "                          [--algorithm {auto,rank3,rankk,compression,oracle}]\n"
+            "                          [--stats]\n"
+            "                          [input]\n"
+            "transversals count: error: argument --algorithm: invalid choice: 'nope' "
+            "(choose from 'auto', 'rank3', 'rankk', 'compression', 'oracle')\n"
+        ),
+    ),
+}
+
+
+class TestParser:
+    """Help, usage errors and exit codes: `main` reports what its parser
+    reports, and on the argparse of Python 3.11 these bytes."""
+
+    @staticmethod
+    def full_parser(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            cli._build_parser().parse_args(argv)
+        return exc.value.code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("argv", PARSER_GOLDENS, ids=[" ".join(argv) or "no arguments" for argv in PARSER_GOLDENS])
+    def test_usage_and_help(self, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        got = run_cli(list(argv))
+        assert got == self.full_parser(list(argv))
+        if sys.version_info < (3, 12):
+            assert got == PARSER_GOLDENS[argv]
 
 
 class TestGenerate:

@@ -283,13 +283,14 @@ class TestByteBoundaries:
             calls.append((j, b))
             return sorted(v for v in range(8 * j, 8 * j + 8) if b >> (v - 8 * j) & 1)
 
-        tables = byte_tables(17)
+        tables = byte_tables(17, fill)
         assert len(tables) == 3
-        assert byte_entries(0, tables, fill) == []
-        assert byte_entries(mask_of([7, 8, 17]), tables, fill) == [[7], [8], [17]]
-        assert byte_entries(mask_of([8, 9, 17]), tables, fill) == [[8, 9], [17]]
-        assert byte_entries(mask_of([7, 17]), tables, fill) == [[7], [17]]
+        assert byte_entries(0, tables) == []
+        assert byte_entries(mask_of([7, 8, 17]), tables) == [[7], [8], [17]]
+        assert byte_entries(mask_of([8, 9, 17]), tables) == [[8, 9], [17]]
+        assert byte_entries(mask_of([7, 17]), tables) == [[7], [17]]
         assert calls == [(0, 0x80), (1, 0x01), (2, 0x02), (1, 0x03)]
+        assert [dict(t) for t in tables] == [{0x80: [7]}, {0x01: [8], 0x03: [8, 9]}, {0x02: [17]}]
 
     def test_edge_key_orders_every_mask_on_twelve_vertices_as_its_vertex_list(self):
         masks = range(1 << 13)  # bit 0 too, as the key does not assume it is clear

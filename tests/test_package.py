@@ -29,15 +29,21 @@ SRC = str(ROOT / "src")
 #: generators, and `dataclasses` with its `inspect` import.
 HEAVY = ("dataclasses", "inspect", "transversals.analysis", "transversals.instances")
 
-ENGINE_PATH = {
+#: What `import transversals.cli` loads: the kernel, and no engine.
+CLI_IMPORT = {
     "transversals",
     "transversals.bitsets",
     "transversals.cli",
-    "transversals.compression",
     "transversals.errors",
     "transversals.hypergraph",
-    "transversals.rank3",
-    "transversals.rankk",
+}
+
+#: The engine modules that a run adds at each rank: the one `auto` picks,
+#: and at rank 4 compression with both of its inner engines.
+ENGINES_BY_RANK = {
+    3: {"transversals.rank3"},
+    4: {"transversals.compression", "transversals.rank3", "transversals.rankk"},
+    6: {"transversals.rankk"},
 }
 
 #: The home module of every public name.
@@ -72,13 +78,6 @@ def fresh_python(code, *args, stdin=""):
 
 class TestImportSet:
     def test_enumeration_path_loads_only_the_engines(self, tmp_path):
-        rank6 = packed_blocks(3, 2)
-        rank6 = tv.Hypergraph(rank6.n, [*rank6.edges, range(1, 7)])
-        paths = []
-        for name, h in (("r3", packed_blocks(3, 2)), ("r4", packed_blocks(4, 2)), ("r6", rank6)):
-            path = tmp_path / f"{name}.hg"
-            path.write_text(serialize_hypergraph(h))
-            paths.append(str(path))
         script = """
 import io, json, sys
 import transversals.cli as cli
@@ -87,23 +86,30 @@ heavy = json.loads(sys.argv[1])
 seen["heavy_after_import"] = [m for m in heavy if m in sys.modules]
 codes = []
 stdout, sys.stdout = sys.stdout, io.StringIO()
-for path in sys.argv[2:]:
-    for command in ("enumerate", "count", "minimum"):
-        codes.append(cli.main([command, path]))
+for command in ("enumerate", "count", "minimum"):
+    codes.append(cli.main([command, sys.argv[2]]))
 sys.stdout = stdout
 seen["codes"] = codes
 seen["heavy_after_runs"] = [m for m in heavy if m in sys.modules]
 seen["runs"] = sorted(m for m in sys.modules if m.startswith("transversals"))
 print(json.dumps(seen))
 """
-        proc = fresh_python(script, json.dumps(HEAVY), *paths)
-        assert proc.returncode == 0, proc.stderr
-        seen = json.loads(proc.stdout)
-        assert seen["import"] == sorted(ENGINE_PATH)
-        assert seen["heavy_after_import"] == []
-        assert seen["codes"] == [0] * 9
-        assert seen["heavy_after_runs"] == []
-        assert seen["runs"] == sorted(ENGINE_PATH)  # `count` walks in the kernel it already loaded
+        rank3 = packed_blocks(3, 2)
+        inputs = {3: rank3, 4: packed_blocks(4, 2), 6: tv.Hypergraph(rank3.n, [*rank3.edges, range(1, 7)])}
+        for rank, engines in ENGINES_BY_RANK.items():
+            h = inputs[rank]
+            assert h.rank() == rank
+            path = tmp_path / f"r{rank}.hg"
+            path.write_text(serialize_hypergraph(h))
+            proc = fresh_python(script, json.dumps(HEAVY), str(path))  # one fresh process per rank
+            assert proc.returncode == 0, proc.stderr
+            seen = json.loads(proc.stdout)
+            assert seen["import"] == sorted(CLI_IMPORT)
+            assert seen["heavy_after_import"] == []
+            assert seen["codes"] == [0] * 3
+            assert seen["heavy_after_runs"] == []
+            # `count` walks in the kernel the engine already loaded
+            assert seen["runs"] == sorted(CLI_IMPORT | engines), rank
 
     @pytest.mark.parametrize(
         "argv, stdout",
