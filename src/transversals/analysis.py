@@ -355,14 +355,16 @@ def branching_factor(k: int) -> float:
     """Positive real root of the rank-k branching recurrence.
 
     The defining function is strictly decreasing on (0, inf), positive at 1
-    and negative at 2 for every k >= 2, so bisection on [1, 2] is exact up
-    to 1e-10.
+    and negative at 2 for every k >= 2, so bisection on [1, 2] runs until
+    no double lies strictly between its ends. The root's distance to 2
+    about halves with each k (1.2e-9 at k = 30), so a fixed tolerance such
+    as 1e-10 would exceed it from k = 34 on, and `bounds_table` would ceil
+    a value below the root.
     """
     if k < 2:
         raise ValueError("defined for k >= 2")
     lo, hi = 1.0, 2.0
-    while hi - lo > 1e-10:
-        mid = (lo + hi) / 2.0
+    while lo < (mid := (lo + hi) / 2.0) < hi:
         if _branching_poly(k, mid) > 0.0:
             lo = mid
         else:
@@ -403,7 +405,11 @@ def bounds_table(k_max: int) -> list[BoundsRow]:
     """Per-rank bound bases on the number of minimal transversals, k = 2..k_max.
 
     Entries carry publication rounding: lower bases are floored and upper
-    bases ceiled to 4 decimals (7 once 4 would read 2.0000). Uppers: the
+    bases ceiled to 4 decimals. Once 4 would read 2.0000, an upper base is
+    ceiled to the fewest decimals from 7 on at which it stays below 2, and
+    is 2 itself when 12 do not suffice (from k = 41, where the base lies
+    within 1e-12 of 2; 12 keeps the last printed digit well above the
+    error of the double-precision root). Uppers: the
     ceiled rank-2 lower base, the ceiled 2**omega_5 for rank 3, the
     iterative-compression constant for rank 4, the branching factor for
     k >= 5. Raw values come from lower_bound_base and branching_factor.
@@ -423,6 +429,6 @@ def bounds_table(k_max: int) -> list[BoundsRow]:
             raw = branching_factor(k)
             upper = ceil_at(raw, 4)
             if upper >= 2.0:
-                upper = ceil_at(raw, 7)
+                upper = next((c for d in range(7, 13) if (c := ceil_at(raw, d)) < 2.0), 2.0)
         rows.append(BoundsRow(k, floor_at(lower_bound_base(k), 4), upper))
     return rows

@@ -74,3 +74,27 @@ def byte_entries(mask: int, tables: list[ByteTable]) -> list:
     """The entries of mask's nonzero bytes, lowest byte first. mask must be
     non-negative and fit in len(tables) bytes."""
     return [tables[j][b] for j, b in enumerate(mask.to_bytes(len(tables), "little")) if b]
+
+
+def relabeling(keep: int, n: int) -> tuple[Callable[[int], int], Callable[[int], int]]:
+    """(squeeze, spread) for keep, a mask on bits 0..n: pext and pdep in
+    software. squeeze(m), for a mask m on bits 0..n, moves the bit of m at
+    keep's i-th lowest bit to bit i and drops m's bits outside keep;
+    spread(c) moves bit i of c back to keep's i-th lowest bit, for c below
+    2**popcount(keep). Each maps a mask a byte at a time through its own
+    `byte_tables`.
+
+    With bit 0 in keep, squeeze relabels the vertices of keep to
+    1..popcount(keep) - 1 in their order and spread maps them back.
+    """
+    spots = tuple(iter_bits(keep))
+    rank = {v: i for i, v in enumerate(spots)}
+
+    def pack(j: int, b: int) -> int:
+        return sum(1 << rank[v] for v in iter_bits(b << 8 * j & keep))
+
+    def unpack(j: int, b: int) -> int:
+        return sum(1 << spots[i] for i in iter_bits(b << 8 * j))
+
+    packs, unpacks = byte_tables(n, pack), byte_tables(len(spots) - 1, unpack)
+    return (lambda m: sum(byte_entries(m, packs))), (lambda c: sum(byte_entries(c, unpacks)))

@@ -2,15 +2,17 @@
 
 Exit codes: 0 success, 1 failed measure verification, 2 input parse or
 usage failure (also when stdout is closed), 3 algorithm/input mismatch
-(`--algorithm rank3` above rank 3; the other engines run at every rank),
-4 internal invariant breach, 141 (128 + SIGPIPE) when the reader closes
-stdout early.
+(`--algorithm rank3` above rank 3, the oracle above n = 25, or
+compression, also under `auto` at rank 4, with a phase-1 anchor of more
+than 26 vertices or no memory for its subset table; rankk runs at every
+rank), 4 internal invariant breach, 141 (128 + SIGPIPE) when the reader
+closes stdout early.
 
 The enumeration commands import only the engine they run: `cli`'s
 `enumerate_rank3`, `enumerate_rankk` and `enumerate_compression` load
-their module on the first call (compression loads the other two). The
-analysis toolbox and the instance generators load inside the commands
-that use them.
+their module on the first call (compression loads rank3, and rankk
+only above rank 4). The analysis toolbox and the instance generators
+load inside the commands that use them.
 
 The engines hand each transversal over as a vertex mask (bit v for
 vertex v); sizes are bit counts. Output lines are formatted and written
@@ -106,7 +108,7 @@ def enumerate_rankk(h: Hypergraph, sink: TransversalSink) -> SearchStats:
 
 
 def enumerate_compression(h: Hypergraph, sink: TransversalSink) -> SearchStats:
-    """compression's engine, its module (and both inner engines) loaded on the first call."""
+    """compression's engine, its module (and rank3) loaded on the first call."""
     from .compression import enumerate_compression as engine
 
     return engine(h, sink)
@@ -259,7 +261,10 @@ def _cmd_bounds_table(args: argparse.Namespace) -> int:
         raise ParseError("--kmax must be at least 2")
     sys.stdout.write("k lower upper\n")
     for row in bounds_table(args.kmax):
-        digits = 4 if ceil_at(row.upper, 4) < 2.0 else 7  # bounds_table's rounding rule
+        # bounds_table's rounding rule: 4 decimals, else at least 7; repr shows the
+        # decimals a ceiled value holds, trailing zeros dropped
+        text = repr(row.upper)
+        digits = 4 if ceil_at(row.upper, 4) < 2.0 else max(7, len(text) - text.index(".") - 1)
         sys.stdout.write(f"{row.k} {row.lower:.4f} {row.upper:.{digits}f}\n")
     return 0
 

@@ -13,44 +13,72 @@ input. Since a minimal transversal T forces N = T intersect X, nothing
 is emitted twice.
 
 Projecting through a transversal X lowers the rank, so the rank-3 engine
-is the inner engine for rank-4 inputs and rankk the one above rank 4.
-alpha tunes only the phase split, never the emitted set.
+is the inner engine for rank-4 inputs and rankk the one above rank 4;
+`rankk` is imported on the first call that needs it, so a rank-4 run
+never loads it. alpha tunes only the phase split, never the emitted set.
 
 The projection for N depends only on which edges N misses, and most
 subsets of X share one with another. N is kept as a bitmask over X, and
 one subset-OR table over X gives every N a key that is equal exactly for
 equal projections. Phase 2 is one loop over N: a new key runs the inner
-engine once and stores its outputs Y, each with the edges it hits, and
+engine once and stores its outputs Y, each with the edges it misses, and
 every N passes its key's Y through the final filter in that order, so an
 N's outputs stream after its inner run returns. This relies on the inner
 engine giving the same outputs for equal hypergraphs, as every engine in
-the package does. The stats still describe the unmemoized tree: every N
-adds its key's inner counters.
+the package does. An anchor of more than _MAX_ANCHOR vertices is
+refused before the table is built.
+
+The inner engine runs without X's vertices: the projection, whose edges
+miss X, is relabelled onto the vertices outside X in their order
+(`bitsets.relabeling`), and its outputs are mapped back. Kept, X's
+vertices would be isolated, and both inner engines discard isolated
+vertices first, one node each (rank3's R1_0, rankk's R1). After those
+discards both runs stand at the same state up to the relabelling, which
+keeps the vertices' order and so every tie-break. So, when the
+projection has an edge and no empty edge, the run with X kept has |X|
+more nodes, each on the path to every other node, and the same leaves;
+otherwise both runs are one leaf. The stats add back those |X| nodes
+and levels and still describe the unmemoized tree, with X kept: each
+key's inner counters count once per N with that key.
 
 The final filter checks only N's members. Since each Y is a minimal
 transversal of N's projection (the inner engine must emit nothing else),
 N union Y hits every edge, and each y in Y keeps a private edge: its
 projected edge misses N and the rest of Y. So the set is minimal iff
 every member of N has an edge that no other member of N and no member
-of Y hits: the kernel's crit test (`hypergraph._crit_key`) with no edge
-outside gives each member's private edges, and Y must miss one of each.
-X, N and each Y stay masks. N steps through X's submasks in increasing
-order: the binary-counter order, bit j standing for X's j-th vertex.
+of Y hits: the kernel's crit test (`hypergraph._crit_key`) gives each
+member's private edges, and Y must miss one of each. A member with a
+private edge that no Y of N's key hits keeps it against every Y, so the
+crit test takes those edges as the ones outside reach, as the kernel
+does with the edges its working vertices cannot hit, and leaves such
+members out. N's fold (`hypergraph._fold_bytes`) comes from byte tables over X's own
+incidence rows, indexed by N's bits over X. X, N and each Y stay masks.
+N steps through X's submasks in increasing order: the binary-counter
+order, bit j standing for X's j-th vertex.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Iterable
+from functools import partial, reduce
 from itertools import combinations
+from operator import and_
 
-from .bitsets import iter_bits, mask_of, set_of
-from .hypergraph import Hypergraph, SearchStats, TransversalSink, _crit_key
+from .bitsets import byte_tables, iter_bits, mask_of, relabeling, set_of
+from .errors import UnsupportedInstanceError
+from .hypergraph import Hypergraph, SearchStats, TransversalSink, _crit_key, _fold_byte, _fold_bytes
 from .rank3 import enumerate_rank3
-from .rankk import enumerate_rankk
 
 #: Phase split minimizing the worst phase on rank-4 inputs.
 DEFAULT_ALPHA = 0.66938
+
+#: The widest anchor X phase 2 takes. It steps through all 2^|X| subsets of
+#: X, a few microseconds each in CPython, and its key table holds a slot
+#: per subset: at 26 that is 67 million steps, minutes of work, and 512 MiB
+#: of slots alone; each further vertex doubles both.
+_MAX_ANCHOR = 26
 
 
 def _check_alpha(alpha: float) -> None:
@@ -105,7 +133,9 @@ def enumerate_compression(h: Hypergraph, sink: TransversalSink, *, alpha: float 
     leaves aggregates inner leaves, or counts the scanned subsets when the
     run never leaves phase 1 (each subset check halts there); outputs
     counts emissions. Inner counters are added once per N, its key new
-    or not, so they describe one inner run per subset of X.
+    or not, so they describe one inner run per subset of X, on the
+    projection with X's vertices kept. An anchor X of more than
+    _MAX_ANCHOR vertices raises UnsupportedInstanceError before phase 2.
     """
     _check_alpha(alpha)
     stats = SearchStats()
@@ -126,36 +156,70 @@ def enumerate_compression(h: Hypergraph, sink: TransversalSink, *, alpha: float 
                     stats.outputs += 1
         return stats
 
+    width = xm.bit_count()
+    if width > _MAX_ANCHOR:
+        raise UnsupportedInstanceError(
+            f"anchor of {width} vertices exceeds compression's guard ({_MAX_ANCHOR}): "
+            f"phase 2 would solve 2^{width} subproblems"
+        )
     # Looked up in the module globals at run time: the benchmark trace and
     # the tests patch them there.
     inner = enumerate_rank3 if h.rank() <= 4 else enumerate_rankk
 
     # One key per N, equal for exactly the N with equal projections. The c-th
     # N has key keys[full ^ c] = keys[full - c], so the loop reads keys backwards.
-    keys = _key_table(h.edge_masks(), xm)
-    # Per distinct key: the inner outputs Y as masks, each with the edges it hits.
-    memo: dict[int, tuple[list[tuple[int, int]], SearchStats]] = {}
+    try:
+        keys = _key_table(h.edge_masks(), xm)
+    except MemoryError:
+        raise UnsupportedInstanceError(f"no memory for compression's 2^{width} subsets of its anchor") from None
+    # The inner runs see the vertices outside X only, relabelled in order to
+    # 1..n - |X|; a projected edge is the outside part of an input edge.
+    squeeze, spread = relabeling(((2 << h.n) - 1) & ~xm, h.n)
+    local = {e: squeeze(e) for e in {e & ~xm for e in h.edge_masks()}}
+    inc = h._incidence()
+    folds = byte_tables(width - 1, partial(_fold_byte, tuple(inc[v] for v in iter_bits(xm))))
+    # Per distinct key: the inner outputs Y as masks, each with the edges it
+    # misses, and the edges that every Y misses.
+    memo: dict[int, tuple[list[tuple[int, int]], int]] = {}
+    runs: dict[int, tuple[SearchStats, int]] = {}  # the inner counters, and what X's vertices add
 
-    n_mask = 0
-    for key in reversed(keys):
+    n_mask = outputs = 0
+    for c, key in enumerate(reversed(keys)):
         hit = memo.get(key)
         if hit is None:
+            edges = project(h, xm, n_mask).edge_masks()
             found: list[int] = []
-            inner_stats = inner(project(h, xm, n_mask), found.append)
-            hit = memo[key] = [(y, h._fold(y)[0]) for y in found], inner_stats
-        ys, inner_stats = hit
-        # The final filter: N | Y is minimal iff each member of N keeps a private edge that Y misses.
-        privs = _crit_key(0, h._fold(n_mask)) if ys else None
-        if privs is not None:
-            for y, once_y in ys:
-                if all(p & ~once_y for p in privs):
-                    sink(n_mask | y)
-                    stats.outputs += 1
-        stats.nodes += inner_stats.nodes
-        stats.leaves += inner_stats.leaves
-        stats.max_depth = max(stats.max_depth, inner_stats.max_depth)
+            inner_stats = inner(Hypergraph._from_masks(h.n - width, map(local.__getitem__, edges)), found.append)
+            # Kept, X's vertices would be isolated, and both inner engines discard
+            # those first, one node each, unless the root is already a leaf.
+            runs[key] = inner_stats, width if edges and 0 not in edges else 0
+            ys = [(y, ~h._fold(y)[0]) for y in map(spread, found)]
+            hit = memo[key] = ys, reduce(and_, (miss_y for _, miss_y in ys), -1)
+        ys, never = hit
+        if ys:
+            # The final filter: N | Y is minimal iff each member of N keeps a private edge
+            # that Y misses; the crit test leaves out the members with one that no Y hits.
+            privs = _crit_key(never, _fold_bytes(c, folds))
+            if privs is not None:
+                for y, miss_y in ys:
+                    if all(map(miss_y.__and__, privs)):
+                        sink(n_mask | y)
+                        outputs += 1
         n_mask = (n_mask - xm) & xm  # the next submask of X
+    stats.outputs = outputs
+    for key, times in Counter(keys).items():
+        inner_stats, lift = runs[key]
+        stats.nodes += times * (inner_stats.nodes + lift)
+        stats.leaves += times * inner_stats.leaves
+        stats.max_depth = max(stats.max_depth, inner_stats.max_depth + lift)
     return stats
+
+
+def enumerate_rankk(h: Hypergraph, sink: TransversalSink) -> SearchStats:
+    """rankk's engine, its module loaded on the first call: only inputs above rank 4 need it."""
+    from .rankk import enumerate_rankk as engine
+
+    return engine(h, sink)
 
 
 def _key_table(edge_masks: Iterable[int], xm: int) -> list[int]:
@@ -170,14 +234,11 @@ def _key_table(edge_masks: Iterable[int], xm: int) -> list[int]:
     Husfeldt, Kaski and Koivisto, "Fourier meets Mobius: fast subset
     convolution", STOC 2007).
     """
-    local = {v: 1 << j for j, v in enumerate(iter_bits(xm))}
+    inside = relabeling(xm, xm.bit_length())[0]  # bit j for X's j-th lowest vertex
     outside_bit: dict[int, int] = {}
-    keys = [0] * (1 << len(local))
+    keys = [0] * (1 << xm.bit_count())
     for e in edge_masks:
-        inside = 0
-        for v in iter_bits(e & xm):
-            inside |= local[v]
-        keys[inside] |= outside_bit.setdefault(e & ~xm, 1 << len(outside_bit))
+        keys[inside(e & xm)] |= outside_bit.setdefault(e & ~xm, 1 << len(outside_bit))
     size = len(keys)
     step = 1
     while step < size:

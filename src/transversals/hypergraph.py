@@ -52,6 +52,19 @@ def _fold_byte(inc: tuple[int, ...], j: int, b: int) -> tuple[int, int, tuple[in
     return once, twice, rows
 
 
+def _fold_bytes(s: int, tables: list[ByteTable]) -> tuple[int, int, list[int]]:
+    """The fold of s through byte tables that `_fold_byte` fills: the edges
+    hit once or more and twice or more, and the rows in ascending order.
+    The bytes combine as twice |= t | (once & o), once |= o."""
+    once = twice = 0
+    rows: list[int] = []
+    for o, t, r in byte_entries(s, tables):
+        twice |= t | (once & o)
+        once |= o
+        rows += r
+    return once, twice, rows
+
+
 class Hypergraph:
     """Immutable hypergraph on the vertex universe 1..n.
 
@@ -143,18 +156,12 @@ class Hypergraph:
         or more, and the incidence rows of its members in ascending order.
 
         The rows are folded a byte of vertices at a time: each byte's
-        (once, twice, rows) comes from a table filled on first use, and the
-        bytes combine as twice |= t | (once & o), once |= o.
+        (once, twice, rows) comes from a table filled on first use
+        (`_fold_bytes`).
         """
         if self._folds is None:
             self._folds = byte_tables(self.n, partial(_fold_byte, self._incidence()))
-        once = twice = 0
-        rows: list[int] = []
-        for o, t, r in byte_entries(s, self._folds):
-            twice |= t | (once & o)
-            once |= o
-            rows += r
-        return once, twice, rows
+        return _fold_bytes(s, self._folds)
 
     def is_minimal_transversal(self, s: Iterable[int] | int, fold: tuple | None = None) -> bool:
         """True iff s hits every edge and every member of s has a private edge.

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -242,6 +243,19 @@ class TestBoundsTable:
     def test_kmax_validated(self):
         with pytest.raises(ValueError):
             bounds_table(1)
+
+    def test_uppers_bound_the_roots_below_two(self):
+        # exact arithmetic: the defining function is decreasing, so an upper u
+        # bounds the root iff the function is <= 0 at u
+        def poly(k, x):
+            x = Fraction(x)
+            return -1 + 1 / x + sum((i - 2) / x**i for i in range(3, k + 1)) + sum(
+                (2 * k - i) / x**i for i in range(k + 1, 2 * k)
+            )
+
+        for row in bounds_table(45)[3:]:
+            assert poly(row.k, row.upper) <= 0, row
+            assert (row.upper < 2.0) == (row.k <= 40), row
 
     def test_rank4_constants_balance_the_compression_phases(self):
         # Phase 1 scans about C(n, alpha n) ~ (1 / (alpha^alpha (1-alpha)^(1-alpha)))^n

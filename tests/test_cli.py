@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import transversals as tv
-from transversals import bitsets, cli, hypergraph, serialize_hypergraph
+from transversals import bitsets, cli, compression, find_split, hypergraph, serialize_hypergraph
 from transversals.bitsets import iter_bits, set_of
 
 from helpers import packed_blocks
@@ -182,10 +182,17 @@ class TestLines:
         cli._run_engine(algorithm, h, found.append)
         return found
 
-    @pytest.mark.parametrize("algorithm", ["rank3", "rankk"])
+    @pytest.mark.parametrize("algorithm", ["rank3", "rankk", "compression"])
     @pytest.mark.parametrize("n", WIDTHS)
     def test_every_command_across_widths(self, n, algorithm):
         h = self.boundary_path(n)
+        if algorithm == "compression" and len(find_split(h) or ()) > compression._MAX_ANCHOR:
+            # n = 64 and 200: an anchor of 42 and 133 vertices, most of them isolated
+            for command in (["enumerate"], ["enumerate", "--canonical"], ["minimum"]):
+                code, out, err = run_cli([*command, "--algorithm", algorithm], stdin_text=serialize_hypergraph(h))
+                assert (code, out, err.count("\n")) == (3, "", 1)
+                assert err.startswith("error: anchor of ") and err.endswith(" subproblems\n")
+            return
         found = self.emitted(algorithm, h)
         assert found and (n == 0 or max(found).bit_length() == n + 1)  # vertex n is in an output
         run = lambda *cmd: run_cli([*cmd, "--algorithm", algorithm], stdin_text=serialize_hypergraph(h))
@@ -363,6 +370,36 @@ class TestExitCodes:
         code, out, err = run_cli([*command, "--algorithm", "compression"], stdin_text=text)
         assert (code, err) == (0, "")
         assert (code, out, err) == run_cli([*command, "--algorithm", "rankk"], stdin_text=text)
+
+    @pytest.mark.parametrize(
+        "h,algorithm,width",
+        [
+            (tv.Hypergraph(64, [range(1, 5), range(5, 9)]), "compression", 42),
+            (tv.Hypergraph(64, [range(1, 5), range(5, 9)]), "auto", 42),
+            (tv.Hypergraph(257, [range(1, 258)]), "compression", 172),
+        ],
+        ids=["two-4-edges-n64", "two-4-edges-n64-auto", "one-257-edge"],
+    )
+    def test_compression_anchor_guard(self, h, algorithm, width):
+        # phase 2 would step through 2^width subsets of the anchor: one error line, exit 3, no table
+        text = serialize_hypergraph(h)
+        for command in ("count", "enumerate", "minimum", "count-minimum"):
+            got = run_cli([command, "--algorithm", algorithm, "--stats"], stdin_text=text)
+            assert got == (
+                3,
+                "",
+                f"error: anchor of {width} vertices exceeds compression's guard (26): "
+                f"phase 2 would solve 2^{width} subproblems\n",
+            )
+
+    def test_compression_out_of_memory(self, monkeypatch):
+        def no_room(edge_masks, xm):
+            raise MemoryError
+
+        monkeypatch.setattr(compression, "_key_table", no_room)
+        code, out, err = run_cli(["count", "--algorithm", "compression"], stdin_text="p hg 8 2\n1 2 3 4\n5 6 7 8\n")
+        assert (code, out) == (3, "")
+        assert err == "error: no memory for compression's 2^5 subsets of its anchor\n"
 
     def test_oracle_guard(self):
         text = serialize_hypergraph(tv.Hypergraph(26, [{1, 2}]))
@@ -733,12 +770,22 @@ class TestBoundsTable:
         assert out.splitlines()[-1] == "20 1.8962 1.9999988"
 
     def test_seven_decimals_once_four_read_two(self):
-        # from k = 24 the 7-decimal ceiling is 2.0000000 itself
+        # 7 decimals from k = 14; from k = 24, where the 7-decimal ceiling is 2.0000000
+        # itself, the fewest decimals that stay below 2
         code, out, _ = run_cli(["bounds-table", "--kmax", "30"])
         assert code == 0
         lines = out.splitlines()
-        assert lines[22:24] == ["23 1.9068 1.9999999", "24 1.9098 2.0000000"]
-        assert lines[-1] == "30 1.9242 2.0000000"
+        assert lines[12:14] == ["13 1.8562 1.9999", "14 1.8640 1.9999186"]
+        assert lines[22:] == [
+            "23 1.9068 1.9999999",
+            "24 1.9098 1.99999993",
+            "25 1.9127 1.99999997",
+            "26 1.9153 1.99999999",
+            "27 1.9177 1.999999991",
+            "28 1.9200 1.999999996",
+            "29 1.9222 1.999999998",
+            "30 1.9242 1.999999999",
+        ]
 
     def test_kmax_validated(self):
         code, _, _ = run_cli(["bounds-table", "--kmax", "1"])

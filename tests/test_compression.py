@@ -417,6 +417,40 @@ def test_matches_oracle_each_set_once(h, alpha):
     assert sorted(got) == oracle(h)
 
 
+@st.composite
+def anchored_hypergraphs(draw):
+    """n <= 9, rank <= 6: isolated vertices, empty edges, edges inside the
+    anchor (empty once projected) and subsets N that hit every edge."""
+    n = draw(st.integers(0, 9))
+    edge = st.frozensets(st.integers(1, max(n, 1)), max_size=min(n, 6))
+    return Hypergraph(n, draw(st.lists(edge, max_size=10)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    h=anchored_hypergraphs(),
+    alpha=st.sampled_from([0.5, DEFAULT_ALPHA, 1.0]),
+    inner=st.sampled_from(["rank3", "rankk"]),
+)
+def test_same_order_and_tree_as_runs_with_the_anchor_kept(h, alpha, inner):
+    # the inner runs drop X's vertices; the reference projects with them kept,
+    # so each nonempty, empty-edge-free projection's nodes and depth differ by |X|
+    with rankk_inner() if inner == "rankk" else contextlib.nullcontext():
+        assert trace(enumerate_compression, h, alpha) == trace(unmemoized, h, alpha)
+
+
+@pytest.mark.parametrize("room", [-1, 0])
+def test_anchor_guard_boundary(room, monkeypatch):
+    h = tv.gen_lower_bound(4, 14)
+    width = len(find_split(h))
+    monkeypatch.setattr(compression, "_MAX_ANCHOR", width + room)
+    if room < 0:
+        with pytest.raises(UnsupportedInstanceError, match=rf"^anchor of {width} vertices exceeds"):
+            enumerate_compression(h, lambda t: None)
+    else:
+        assert enumerate_compression(h, lambda t: None).outputs == 1225
+
+
 @pytest.mark.parametrize(
     "h,shape,digest",
     [

@@ -39,10 +39,10 @@ CLI_IMPORT = {
 }
 
 #: The engine modules that a run adds at each rank: the one `auto` picks,
-#: and at rank 4 compression with both of its inner engines.
+#: and at rank 4 compression with its inner engine rank3, never rankk.
 ENGINES_BY_RANK = {
     3: {"transversals.rank3"},
-    4: {"transversals.compression", "transversals.rank3", "transversals.rankk"},
+    4: {"transversals.compression", "transversals.rank3"},
     6: {"transversals.rankk"},
 }
 
