@@ -65,6 +65,58 @@ class ByteTable(dict):
         return entry
 
 
+class PackedSink:
+    """A sink that packs the masks on bits 0..n it gets, width = (n >> 3) + 1
+    bytes each, little-endian, and hands them on in chunks of block masks:
+    each time it fills a chunk it calls flush with it, in order, and it
+    keeps the rest in `buffer` for its owner. A chunk whose flush raises
+    stays in `buffer`, and no mask after it is taken.
+
+    `sink(mask)` packs one mask; `extend(packed)` takes a run of masks
+    already packed, which is how the search kernel hands over a replayed
+    subtree's outputs when the sink's width is that of its masks.
+    """
+
+    __slots__ = ("width", "limit", "flush", "buffer")
+
+    def __init__(self, n: int, block: int, flush: Callable[[bytes], object]) -> None:
+        if block < 1:
+            raise ValueError(f"block must be at least 1, got {block}")
+        self.width = (n >> 3) + 1
+        self.limit, self.flush = block * self.width, flush  # bytes per chunk
+        self.buffer = bytearray()
+
+    def __call__(self, mask: int) -> None:
+        buffer = self.buffer
+        buffer += mask.to_bytes(self.width, "little")
+        if len(buffer) == self.limit:
+            self.flush(bytes(buffer))
+            buffer.clear()
+
+    def extend(self, packed: bytes) -> None:
+        buffer, limit = self.buffer, self.limit
+        rest = memoryview(packed)  # chunk by chunk, so the buffer never holds more than one
+        while len(buffer) + len(rest) >= limit:
+            cut = limit - len(buffer)
+            buffer += rest[:cut]
+            rest = rest[cut:]
+            self.flush(bytes(buffer))
+            buffer.clear()
+        buffer += rest
+
+
+def xor_each(packed: bytes, mask: int, width: int) -> bytes:
+    """packed, a run of width-byte little-endian masks, with mask XORed into each of them."""
+    pattern = int.from_bytes(mask.to_bytes(width, "little") * (len(packed) // width), "little")
+    return (int.from_bytes(packed, "little") ^ pattern).to_bytes(len(packed), "little")
+
+
+def each_mask(sink: Callable[[int], object], width: int, block: bytes) -> None:
+    """Call sink with each width-byte little-endian mask of block, in order."""
+    for start in range(0, len(block), width):
+        sink(int.from_bytes(block[start : start + width], "little"))
+
+
 def byte_tables(n: int, fill: Callable[[int, int], object]) -> list[ByteTable]:
     """One table per byte of a mask on bits 0..n, each filled by fill."""
     return [ByteTable(j, fill) for j in range((n >> 3) + 1)]

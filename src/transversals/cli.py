@@ -20,7 +20,11 @@ in blocks of up to `_BLOCK` masks and `_BLOCK_BYTES` bytes, one by one
 when stdout is line-buffered (a terminal): the block's masks become
 little-endian bytes, and each byte maps, through one per-run
 `bitsets.ByteTable` per byte position, to its vertex ids, each after a
-space, the table of the last position adding the line end.
+space, the table of the last position adding the line end. Streaming
+`enumerate` hands the engine a `bitsets.PackedSink`, which packs each
+mask it is called with, and to which the search kernel hands each
+replayed subtree's outputs as one packed block, so most lines never
+exist as ints; every other sink is called once per mask.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import sys
 from collections.abc import Callable
 from itertools import cycle
 
-from .bitsets import byte_tables, edge_key, iter_bits, mask_of
+from .bitsets import PackedSink, byte_tables, edge_key, iter_bits, mask_of
 from .errors import ParseError, SearchInvariantError, UnsupportedInstanceError
 from .hypergraph import Hypergraph, SearchStats, TransversalSink, count_only, parse_hypergraph, serialize_hypergraph
 
@@ -140,9 +144,11 @@ def _run_engine(name: str, h: Hypergraph, sink: TransversalSink) -> SearchStats:
     raise ValueError(f"unknown algorithm {name!r}")
 
 
-def _formatter(n: int) -> Callable[[list[int]], str]:
-    """lines(masks): the output lines of masks on the vertices 1..n, as one string."""
-    width = (n >> 3) + 1  # bytes per mask, bit 0 included
+def _text(n: int) -> Callable[[bytes], str]:
+    """text(data): the output lines of the masks on the vertices 1..n that
+    data packs, (n >> 3) + 1 bytes each (bit 0 included), little-endian,
+    as one string."""
+    width = (n >> 3) + 1
 
     def words(j: int, b: int) -> str:
         """The vertices that b picks at byte position j, each after a space; the last position ends the line."""
@@ -150,12 +156,17 @@ def _formatter(n: int) -> Callable[[list[int]], str]:
 
     tables = byte_tables(n, words)
 
-    def lines(masks: list[int]) -> str:
-        data = b"".join([m.to_bytes(width, "little") for m in masks])
+    def text(data: bytes) -> str:
         # each line's words begin with a space; drop it
         return "".join(map(dict.__getitem__, cycle(tables), data)).replace("\n ", "\n").removeprefix(" ")
 
-    return lines
+    return text
+
+
+def _formatter(n: int) -> Callable[[list[int]], str]:
+    """lines(masks): the output lines of masks on the vertices 1..n, as one string."""
+    text, width = _text(n), (n >> 3) + 1
+    return lambda masks: text(b"".join([m.to_bytes(width, "little") for m in masks]))
 
 
 def _block_size(h: Hypergraph, out) -> int:
@@ -163,17 +174,17 @@ def _block_size(h: Hypergraph, out) -> int:
     many as `_BLOCK` and `_BLOCK_BYTES` allow for lines of the longest
     length possible. A minimal transversal has a private edge per member,
     so it has at most min(n, m) members, each at most len(str(n)) + 1
-    bytes with its separator."""
+    bytes with its separator; a line longer than `_BLOCK_BYTES` goes
+    out alone."""
     if getattr(out, "line_buffering", False):
         return 1
     longest = min(h.n, len(h.edge_masks())) * (len(str(h.n)) + 1)
-    return min(_BLOCK, _BLOCK_BYTES // max(longest, 1))
+    return max(1, min(_BLOCK, _BLOCK_BYTES // max(longest, 1)))
 
 
 def _cmd_enumeration(args: argparse.Namespace) -> int:
     h = _read_input(args.input)
     out = sys.stdout
-    lines = _formatter(h.n)
     block = _block_size(h, out)
 
     if args.command == "enumerate":
@@ -181,22 +192,17 @@ def _cmd_enumeration(args: argparse.Namespace) -> int:
             collected: list[int] = []
             stats = _run_engine(args.algorithm, h, collected.append)
             collected.sort(key=edge_key)  # ascending vertex lists
+            lines = _formatter(h.n)
             for i in range(0, len(collected), block):
                 out.write(lines(collected[i : i + block]))
         else:
-            pending: list[int] = []
-
-            def emit(mask: int) -> None:
-                pending.append(mask)
-                if len(pending) == block:
-                    out.write(lines(pending))
-                    pending.clear()
-
+            text = _text(h.n)
+            packed = PackedSink(h.n, block, lambda data: out.write(text(data)))
             try:
-                stats = _run_engine(args.algorithm, h, emit)
+                stats = _run_engine(args.algorithm, h, packed)
             finally:  # lines found before an exception still come out
-                if pending:
-                    out.write(lines(pending))
+                if packed.buffer:
+                    packed.flush(packed.buffer)
     elif args.command == "count":
         stats = _run_engine(args.algorithm, h, count_only)
         out.write(f"{stats.outputs}\n")
@@ -216,7 +222,7 @@ def _cmd_enumeration(args: argparse.Namespace) -> int:
         if args.command == "count-minimum":
             out.write(f"{ties}\n")
         elif best is not None:
-            out.write(lines([best]))
+            out.write(_formatter(h.n)([best]))
 
     if args.stats:
         sys.stderr.write(

@@ -46,7 +46,7 @@ transversal of N's projection (the inner engine must emit nothing else),
 N union Y hits every edge, and each y in Y keeps a private edge: its
 projected edge misses N and the rest of Y. So the set is minimal iff
 every member of N has an edge that no other member of N and no member
-of Y hits: the kernel's crit test (`hypergraph._crit_key`) gives each
+of Y hits: the kernel's crit test (`hypergraph._private_edges`) gives each
 member's private edges, and Y must miss one of each. A member with a
 private edge that no Y of N's key hits keeps it against every Y, so the
 crit test takes those edges as the ones outside reach, as the kernel
@@ -68,7 +68,7 @@ from operator import and_
 
 from .bitsets import byte_tables, iter_bits, mask_of, relabeling, set_of
 from .errors import UnsupportedInstanceError
-from .hypergraph import Hypergraph, SearchStats, TransversalSink, _crit_key, _fold_byte, _fold_bytes
+from .hypergraph import Hypergraph, SearchStats, TransversalSink, _fold_byte, _fold_bytes, _private_edges
 from .rank3 import enumerate_rank3
 
 #: Phase split minimizing the worst phase on rank-4 inputs.
@@ -199,7 +199,7 @@ def enumerate_compression(h: Hypergraph, sink: TransversalSink, *, alpha: float 
         if ys:
             # The final filter: N | Y is minimal iff each member of N keeps a private edge
             # that Y misses; the crit test leaves out the members with one that no Y hits.
-            privs = _crit_key(never, _fold_bytes(c, folds))
+            privs = _private_edges(never, _fold_bytes(c, folds))
             if privs is not None:
                 for y, miss_y in ys:
                     if all(map(miss_y.__and__, privs)):

@@ -20,8 +20,9 @@ each distinct working state once per run and replays its children. It
 carries each partial set's fold down the tree, so a leaf's check folds
 nothing. A repeated subtree whose results are known is not walked again:
 handed the sink `count_only`, the walk adds its counters from a stored
-summary, and handed any other sink, it also replays the subtree's stored
-outputs onto the partial set of the visit.
+summary; handed any other sink, it also replays the subtree's stored
+outputs onto the visit's partial set: as one packed block to a
+`bitsets.PackedSink` of their width, one mask per call to other sinks.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from itertools import filterfalse
 from operator import index
 from typing import Any
 
-from .bitsets import ByteTable, byte_entries, byte_tables, edge_key, iter_bits, set_of
+from .bitsets import ByteTable, PackedSink, byte_entries, byte_tables, each_mask, edge_key, iter_bits, set_of, xor_each
 from .errors import ParseError, SearchInvariantError
 
 #: Consumer invoked exactly once per enumerated minimal transversal, with
@@ -322,22 +323,21 @@ def count_only(mask: int) -> None:
     subtrees it has already counted."""
 
 
-def _crit_key(outside: int, fold: tuple) -> tuple[int, ...] | None:
-    """K for S's fold at a state whose working vertices cannot hit the edges of outside:
-    the private edges of S's members inside U = ~outside, ascending (they are disjoint);
-    None if a member has none. `search` keys its subtree summaries on it; with
-    outside=0 it is every member's private edges, compression's final filter."""
+def _private_edges(outside: int, fold: tuple) -> list[int] | None:
+    """The crit test on S's fold at a state whose working vertices cannot hit the edges of outside:
+    the private edges of S's members inside U = ~outside, in the rows' order (they are disjoint);
+    None if a member has none. With outside=0, every member's: compression's final filter."""
     once, twice, rows = fold
     single = once & ~twice  # the edges S hits once: the union of its members' private edges
     spared = single & outside  # a member that hits one of these keeps a private edge below
-    k = sorted(map(single.__and__, filterfalse(spared.__and__, rows)))
-    return tuple(k) if all(k) else None
+    k = list(map(single.__and__, filterfalse(spared.__and__, rows)))
+    return k if all(k) else None
 
 
-def _xor_each(packed: bytes, mask: int, width: int) -> bytes:
-    """packed, a run of width-byte little-endian masks, with mask XORed into each of them."""
-    pattern = int.from_bytes(mask.to_bytes(width, "little") * (len(packed) // width), "little")
-    return (int.from_bytes(packed, "little") ^ pattern).to_bytes(len(packed), "little")
+def _crit_key(outside: int, fold: tuple) -> tuple[int, ...] | None:
+    """K, `_private_edges` ascending: `search` keys its subtree summaries on it."""
+    k = _private_edges(outside, fold)
+    return None if k is None else tuple(sorted(k))
 
 
 def search(
@@ -385,9 +385,10 @@ def search(
     With sink `count_only`, later visits with that key add them instead
     of walking. With any other sink, a later visit with that key records
     the T masks it emits, packed, when the subtree has at most
-    _REPLAY_CAP leaves, and the visits after it hand the sink S | T for
-    each stored T and add the counters; a subtree that emits nothing is
-    skipped at once. So every leaf outside the skipped subtrees is still
+    _REPLAY_CAP leaves, and the visits after it add the counters and
+    hand the sink S | T for each stored T (one packed block to a
+    PackedSink of their width); a subtree that emits nothing is skipped
+    at once. So every leaf outside the skipped subtrees is still
     checked, and the stats and the emitted sequence are those of the
     full walk. Summaries and T lists share a budget of _MEMO_MASKS
     units: one plus |K| per summary, and the 8-byte words of each list.
@@ -407,6 +408,7 @@ def search(
     width = (leaf_graph.n >> 3) + 1
     emitted = bytearray()  # the masks emitted since the outermost open recording opened, packed
     recording = 0  # how many recordings are open
+    put_block = sink.extend if type(sink) is PackedSink and sink.width == width else partial(each_mask, sink, width)
 
     def fold_of(m: int) -> tuple:
         """leaf_graph._fold(m), its rows a tuple; one vertex or none reads no table."""
@@ -429,7 +431,7 @@ def search(
                 if deep0 > deep:
                     deep = deep0
             else:  # it closes a recording: carry is where it opened in emitted, fold its S
-                sums[s] = (*sums[s][:4], _xor_each(emitted[carry:], fold, width))
+                sums[s] = (*sums[s][:4], xor_each(emitted[carry:], fold, width))
                 recording -= 1
                 if not recording:
                     emitted.clear()
@@ -481,12 +483,10 @@ def search(
                     if depth + got[2] > deep:
                         deep = depth + got[2]
                     outputs += got[3]
-                    ts = got[4]
-                    if ts:
-                        for i in range(0, len(ts), width):
-                            sink(s | int.from_bytes(ts[i : i + width], "little"))
+                    if got[4]:
+                        put_block(block := xor_each(got[4], s, width))  # S | T for each stored T
                         if recording:
-                            emitted += _xor_each(ts, s, width)
+                            emitted += block
                     continue
                 else:  # got[3] <= got[1] <= _REPLAY_CAP, as reach is not 0
                     cost = (got[3] * width + 7) >> 3

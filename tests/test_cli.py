@@ -246,6 +246,25 @@ class TestLines:
         assert [text.count("\n") for text in out.writes] == [block] * (512 // block) + [512 % block]
         assert max(len(text) for text in out.writes) <= 8192
 
+    def test_lines_longer_than_a_block_go_out_one_by_one(self, monkeypatch):
+        # vertex 1 is forced and 1,639 more edges hold it: the longest line possible is
+        # 1,640 ids of 5 bytes, over 8 KB; a 3-block lb3 at the top of n = 2000 has replays
+        lb = tv.gen_lower_bound(3, 10)
+        h = tv.Hypergraph(2000, [{1}] + [{1, v} for v in range(2, 1641)] + [{v + 1990 for v in e} for e in lb.edges])
+        assert cli._block_size(h, Recorder(line_buffering=False)) == 1
+        found = self.emitted("auto", h)
+        assert len(found) == 100
+        replayed, extend = [], bitsets.PackedSink.extend
+        monkeypatch.setattr(bitsets.PackedSink, "extend", lambda sink, packed: (replayed.append(packed), extend(sink, packed)))
+        text = serialize_hypergraph(h)
+        out = Recorder(line_buffering=False)
+        assert run_cli(["enumerate"], stdin_text=text, out=out) == (0, "".join(map(line, found)), "")
+        assert replayed and out.writes == list(map(line, found))
+        canonical = sorted(found, key=lambda m: tuple(iter_bits(m)))
+        out = Recorder(line_buffering=False)
+        assert run_cli(["enumerate", "--canonical"], stdin_text=text, out=out) == (0, "".join(map(line, canonical)), "")
+        assert out.writes == list(map(line, canonical))
+
     def test_lines_before_an_engine_error_come_out(self, monkeypatch):
         masks = [m << 1 for m in range(300)]  # one full block and 44 lines pending
 

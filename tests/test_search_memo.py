@@ -4,6 +4,8 @@ gives the same emitted sequence and the same stats at any memo budget."""
 import io
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from functools import partial
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 import transversals as tv
 from transversals import Hypergraph, Instance, cli, hypergraph, rank3, serialize_hypergraph
-from transversals.bitsets import mask_of, set_of
+from transversals.bitsets import PackedSink, mask_of, set_of
 from transversals.hypergraph import search
 from transversals.rank3 import apply_rule, next_rule
 from transversals.rankk import _branch_step, _subsumed
@@ -406,3 +408,135 @@ def test_only_subtrees_within_the_cap_replay(cap, want, monkeypatch):
         assert engine(h, lambda m: None).outputs == 1000
         got.append(len(folded))
     assert tuple(got) == want
+
+
+#: Vertex counts on either side of the byte boundaries that a packed mask's width crosses.
+PACKED_NS = [7, 8, 15, 16, 63, 64, 200]
+
+
+@st.composite
+def spread_inputs(draw):
+    """(n, edges, chosen): a rank <= 3 input on ids drawn from 1..n, packed
+    blocks first so that subtrees repeat, and a partial set of ids outside
+    every edge."""
+    n = draw(st.sampled_from(PACKED_NS))
+    ids = draw(st.lists(st.integers(1, n), min_size=6, max_size=min(n, 12), unique=True))
+    edges, rest = [], ids
+    for k in draw(st.lists(st.integers(2, 3), min_size=1, max_size=3)):
+        if len(rest) >= 2 * k - 1:
+            edges += combinations(rest[: 2 * k - 1], k)
+            rest = rest[2 * k - 1 :]
+    edges += draw(st.lists(st.lists(st.sampled_from(ids), min_size=1, max_size=3), max_size=4))
+    free = sorted(set(range(1, n + 1)) - set(ids))
+    chosen = draw(st.lists(st.sampled_from(free), max_size=2, unique=True)) if free else []
+    return n, edges, chosen
+
+
+def assert_packed_is_the_mask_stream(run, n, block):
+    """run(sink) hands a PackedSink on bits 0..n the masks that it hands a
+    plain sink, packed in order, in chunks of block masks and a remainder,
+    with the same stats."""
+    chunks = []
+    packed = PackedSink(n, block, chunks.append)
+    stats = run(packed)
+    plain = []
+    assert run(plain.append) == stats
+    width = (n >> 3) + 1
+    assert all(len(chunk) == block * width for chunk in chunks) and len(packed.buffer) < block * width
+    assert b"".join(chunks) + packed.buffer == b"".join(m.to_bytes(width, "little") for m in plain)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spread_inputs(), st.integers(1, 5))
+def test_packed_sink_gets_the_mask_stream(drawn, block):
+    n, edges, chosen = drawn
+    h = Hypergraph(n, edges)
+    leaf_graph = Hypergraph(n, [*h.edges, *({p} for p in chosen)])
+    root = partial_root(h, chosen)
+    runs = [
+        partial(search, root, rank3_step, leaf_graph, carry=None),
+        partial(search, root, _branch_step(), leaf_graph, carry=_subsumed(frozenset(h.edge_masks()))),
+    ]
+    if n <= 16:  # above, compression's anchor of isolated vertices passes its guard
+        runs.append(partial(tv.enumerate_compression, leaf_graph))  # its final filter calls the sink once per mask
+    settings_ = [("_MEMO_MASKS", DEFAULT), ("_MEMO_MASKS", 0), ("_REPLAY_CAP", 1), ("_REPLAY_CAP", 4)]
+    for name, value in settings_:
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(hypergraph, name, value)
+            for run in runs:
+                assert_packed_is_the_mask_stream(run, n, block)
+
+
+def test_a_chunk_whose_flush_raises_stays_in_the_buffer():
+    # as the CLI's block of masks did: its `finally` writes the failed chunk, and nothing after it
+    chunks = []
+
+    def flush(chunk):
+        if chunks:
+            raise OSError("no space left")
+        chunks.append(chunk)
+
+    packed = PackedSink(8, 2, flush)  # 2-byte masks, 2 to a chunk
+    with pytest.raises(OSError):
+        packed.extend(bytes(range(12)))  # three chunks
+    assert chunks == [bytes(range(4))] and packed.buffer == bytes(range(4, 8))
+
+
+def test_a_chunk_holds_at_least_one_mask():
+    # a chunk of 0 bytes would never fill, and `extend` would flush empty chunks for ever
+    with pytest.raises(ValueError, match="block must be at least 1, got 0"):
+        PackedSink(8, 0, print)
+
+
+def count_packed_calls(monkeypatch):
+    """Count what PackedSink objects take: [masks through calls, masks through blocks]."""
+    taken = [0, 0]
+    call, extend = PackedSink.__call__, PackedSink.extend
+
+    def counted_call(self, mask):
+        taken[0] += 1
+        call(self, mask)
+
+    def counted_extend(self, packed):
+        taken[1] += len(packed) // self.width
+        extend(self, packed)
+
+    monkeypatch.setattr(PackedSink, "__call__", counted_call)
+    monkeypatch.setattr(PackedSink, "extend", counted_extend)
+    return taken
+
+
+def test_replays_reach_a_packed_sink_as_blocks(monkeypatch):
+    # lb3 n=15 has 1,000 outputs; rank3 checks 63 leaves and rankk 13
+    # (test_only_subtrees_within_the_cap_replay), so the rest come as blocks.
+    taken = count_packed_calls(monkeypatch)
+    h = tv.gen_lower_bound(3, 15)
+    for engine, leaf_checks in ((tv.enumerate_rank3, 63), (tv.enumerate_rankk, 13)):
+        taken[:] = 0, 0
+        assert engine(h, PackedSink(h.n, 256, lambda chunk: None)).outputs == 1000
+        assert sum(taken) == 1000 and taken[0] <= leaf_checks
+
+
+def test_wrapped_or_wider_packed_sink_takes_masks_one_by_one(monkeypatch):
+    h = tv.gen_lower_bound(3, 15)
+    plain = []
+    tv.enumerate_rank3(h, plain.append)
+    taken = count_packed_calls(monkeypatch)
+    # the kernel takes blocks only in the width of its masks, (n >> 3) + 1 = 2 bytes here
+    chunks = []
+    wider = PackedSink(16, 1, chunks.append)
+    assert wider.width == 3
+    tv.enumerate_rank3(h, wider)
+    assert taken == [1000, 0]
+    assert b"".join(chunks) == b"".join(m.to_bytes(3, "little") for m in plain)
+    # a function around the CLI's sink, as the benchmark's trace wraps it, gives the same lines
+    text = serialize_hypergraph(h)
+    taken[:] = 0, 0
+    direct = cli_run(["enumerate", "--stats"], text)
+    assert taken[0] < 1000 and taken[1] > 0
+    engine = cli.enumerate_rank3
+    monkeypatch.setattr(cli, "enumerate_rank3", lambda h, sink: engine(h, lambda m: sink(m)))
+    taken[:] = 0, 0
+    assert cli_run(["enumerate", "--stats"], text) == direct
+    assert taken == [1000, 0]
+    assert direct[1].count("\n") == 1000
