@@ -59,5 +59,11 @@ def __getattr__(name: str):
     return value
 
 
+def _loader(name: str):
+    """A stand-in for the public function `name`: each call looks it up in its
+    home module, loaded on the first call, so a patch there takes effect."""
+    return lambda *args, **kwargs: __getattr__(name)(*args, **kwargs)
+
+
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})

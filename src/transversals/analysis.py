@@ -20,7 +20,7 @@ engine's branching factor and the generator for the lower/upper bound table.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple
@@ -93,7 +93,15 @@ class Weights:
     @property
     def growth_base(self) -> float:
         """2**omega_5, the per-vertex base of the rank-3 running-time bound."""
-        return 2.0 ** self.omega[5]
+        return _exp2(self.omega[5])
+
+
+def _exp2(x: float) -> float:
+    """2**x, or inf where that overflows a float: a finite table may hold such an x."""
+    try:
+        return 2.0 ** x
+    except OverflowError:
+        return math.inf
 
 
 #: Weight table under which every constraint family verifies; its growth
@@ -207,8 +215,8 @@ def verify_weights(w: Weights) -> ConstraintReport:
     add = rows.append
 
     def branching(family: str, params: tuple, *etas: float) -> None:
-        """The row sum_i 2^(-eta_i) <= 1 for the measure decreases etas of one rule's branches."""
-        lhs = sum(2.0 ** -e for e in etas)
+        """The row sum_i 2^(-eta_i) <= 1 for the measure decreases etas of one rule's branches (inf on overflow)."""
+        lhs = sum(_exp2(-e) for e in etas)
         add(ConstraintRow(family, params, lhs, 1.0 - lhs))
 
     for i in range(1, 6):
@@ -373,10 +381,11 @@ def branching_factor(k: int) -> float:
 
 
 def lower_bound_base(k: int) -> float:
-    """C(2k-1, k)^(1/(2k-1)): per-vertex growth of the packed-blocks family."""
+    """C(2k-1, k)^(1/(2k-1)): per-vertex growth of the packed-blocks family,
+    through the log of the exact binomial, too large for a float from k = 516."""
     if k < 1:
         raise ValueError("defined for k >= 1")
-    return math.comb(2 * k - 1, k) ** (1.0 / (2 * k - 1))
+    return math.exp(math.log(math.comb(2 * k - 1, k)) / (2 * k - 1))
 
 
 def floor_at(x: float, decimals: int) -> float:
@@ -386,9 +395,11 @@ def floor_at(x: float, decimals: int) -> float:
 
 
 def ceil_at(x: float, decimals: int) -> float:
-    """Round up to the given number of decimals (safe reporting of upper bounds)."""
+    """Round up to the given number of decimals (safe reporting of upper bounds);
+    an x too large to scale, such as inf, has no decimals and is returned as is."""
     scale = 10**decimals
-    return math.ceil(x * scale) / scale
+    scaled = x * scale
+    return math.ceil(scaled) / scale if math.isfinite(scaled) else x
 
 
 class BoundsRow(NamedTuple):
@@ -399,6 +410,27 @@ class BoundsRow(NamedTuple):
 
 #: Rank-4 upper bound delivered by the iterative-compression engine.
 RANK4_UPPER = 1.8863
+
+
+def _bounds(k_max: int) -> Iterator[tuple[BoundsRow, int]]:
+    """`bounds_table`'s rows, each with the decimals of its upper base (7 for the trivial 2)."""
+    if k_max < 2:
+        raise ValueError("k_max must be at least 2")
+    upper, decimals = 0.0, 4
+    for k in range(2, k_max + 1):
+        if k == 2:
+            # Moon and Moser: no graph has more maximal independent sets than disjoint triangles.
+            upper = ceil_at(lower_bound_base(2), 4)
+        elif k == 3:
+            upper = ceil_at(DEFAULT_WEIGHTS.growth_base, 4)
+        elif k == 4:
+            upper = RANK4_UPPER
+        elif upper < 2.0:  # branching_factor increases with k: once an upper is 2, so are the rest
+            raw = branching_factor(k)
+            upper, decimals = ceil_at(raw, 4), 4
+            if upper >= 2.0:
+                upper, decimals = next(((c, d) for d in range(7, 13) if (c := ceil_at(raw, d)) < 2.0), (2.0, 7))
+        yield BoundsRow(k, floor_at(lower_bound_base(k), 4), upper), decimals
 
 
 def bounds_table(k_max: int) -> list[BoundsRow]:
@@ -414,21 +446,9 @@ def bounds_table(k_max: int) -> list[BoundsRow]:
     iterative-compression constant for rank 4, the branching factor for
     k >= 5. Raw values come from lower_bound_base and branching_factor.
     """
-    if k_max < 2:
-        raise ValueError("k_max must be at least 2")
-    rows = []
-    for k in range(2, k_max + 1):
-        if k == 2:
-            # Moon and Moser: no graph has more maximal independent sets than disjoint triangles.
-            upper = ceil_at(lower_bound_base(2), 4)
-        elif k == 3:
-            upper = ceil_at(DEFAULT_WEIGHTS.growth_base, 4)
-        elif k == 4:
-            upper = RANK4_UPPER
-        else:
-            raw = branching_factor(k)
-            upper = ceil_at(raw, 4)
-            if upper >= 2.0:
-                upper = next((c for d in range(7, 13) if (c := ceil_at(raw, d)) < 2.0), 2.0)
-        rows.append(BoundsRow(k, floor_at(lower_bound_base(k), 4), upper))
-    return rows
+    return [row for row, _ in _bounds(k_max)]
+
+
+def format_bounds_table(k_max: int) -> str:
+    """`bounds_table` as text: a header, then each rank's bases with the decimals they were rounded to."""
+    return "k lower upper\n" + "".join(f"{r.k} {r.lower:.4f} {r.upper:.{d}f}\n" for r, d in _bounds(k_max))

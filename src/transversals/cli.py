@@ -9,22 +9,22 @@ rank), 4 internal invariant breach, 141 (128 + SIGPIPE) when the reader
 closes stdout early.
 
 The enumeration commands import only the engine they run: `cli`'s
-`enumerate_rank3`, `enumerate_rankk` and `enumerate_compression` load
-their module on the first call (compression loads rank3, and rankk
-only above rank 4). The analysis toolbox and the instance generators
-load inside the commands that use them.
+`enumerate_rank3`, `enumerate_rankk` and `enumerate_compression`, from
+the package's one engine loader, load their module on the first call
+(compression loads rank3, and rankk only above rank 4). The analysis
+toolbox and the instance generators load inside the commands that use
+them.
 
 The engines hand each transversal over as a vertex mask (bit v for
-vertex v); sizes are bit counts. Output lines are formatted and written
-in blocks of up to `_BLOCK` masks and `_BLOCK_BYTES` bytes, one by one
-when stdout is line-buffered (a terminal): the block's masks become
-little-endian bytes, and each byte maps, through one per-run
+vertex v); sizes are bit counts. Each command writes its lines through
+one `bitsets.PackedSink`, in blocks of up to `_BLOCK` masks and
+`_BLOCK_BYTES` bytes, one by one when stdout is line-buffered (a
+terminal): each little-endian byte of a block maps, through one per-run
 `bitsets.ByteTable` per byte position, to its vertex ids, each after a
 space, the table of the last position adding the line end. Streaming
-`enumerate` hands the engine a `bitsets.PackedSink`, which packs each
-mask it is called with, and to which the search kernel hands each
-replayed subtree's outputs as one packed block, so most lines never
-exist as ints; every other sink is called once per mask.
+`enumerate` hands the engine that sink, and the search kernel hands it
+each replayed subtree's outputs as one packed block, so most lines
+never exist as ints; `--canonical` and `minimum` feed it their masks.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import sys
 from collections.abc import Callable
 from itertools import cycle
 
+from . import _loader
 from .bitsets import PackedSink, byte_tables, edge_key, iter_bits, mask_of
 from .errors import ParseError, SearchInvariantError, UnsupportedInstanceError
 from .hypergraph import Hypergraph, SearchStats, TransversalSink, count_only, parse_hypergraph, serialize_hypergraph
@@ -97,25 +98,10 @@ def _read_input(path: str) -> Hypergraph:
         return parse_hypergraph(handle.read())
 
 
-def enumerate_rank3(h: Hypergraph, sink: TransversalSink) -> SearchStats:
-    """rank3's engine, its module loaded on the first call."""
-    from .rank3 import enumerate_rank3 as engine
-
-    return engine(h, sink)
-
-
-def enumerate_rankk(h: Hypergraph, sink: TransversalSink) -> SearchStats:
-    """rankk's engine, its module loaded on the first call."""
-    from .rankk import enumerate_rankk as engine
-
-    return engine(h, sink)
-
-
-def enumerate_compression(h: Hypergraph, sink: TransversalSink) -> SearchStats:
-    """compression's engine, its module (and rank3) loaded on the first call."""
-    from .compression import enumerate_compression as engine
-
-    return engine(h, sink)
+#: The engines, each module loaded on its first call (compression's loads rank3).
+enumerate_rank3 = _loader("enumerate_rank3")
+enumerate_rankk = _loader("enumerate_rankk")
+enumerate_compression = _loader("enumerate_compression")
 
 
 def _run_engine(name: str, h: Hypergraph, sink: TransversalSink) -> SearchStats:
@@ -127,12 +113,9 @@ def _run_engine(name: str, h: Hypergraph, sink: TransversalSink) -> SearchStats:
             name = "compression"
         else:
             name = "rankk"
-    if name == "rank3":
-        return enumerate_rank3(h, sink)
-    if name == "rankk":
-        return enumerate_rankk(h, sink)
-    if name == "compression":
-        return enumerate_compression(h, sink)
+    if name in ("rank3", "rankk", "compression"):
+        # looked up at each call: the benchmark's trace and the tests replace these names
+        return globals()[f"enumerate_{name}"](h, sink)
     if name == "oracle":
         from .instances import brute_force_enumerate
 
@@ -163,12 +146,6 @@ def _text(n: int) -> Callable[[bytes], str]:
     return text
 
 
-def _formatter(n: int) -> Callable[[list[int]], str]:
-    """lines(masks): the output lines of masks on the vertices 1..n, as one string."""
-    text, width = _text(n), (n >> 3) + 1
-    return lambda masks: text(b"".join([m.to_bytes(width, "little") for m in masks]))
-
-
 def _block_size(h: Hypergraph, out) -> int:
     """Masks per write: 1 to a line-buffered stream (a terminal), else as
     many as `_BLOCK` and `_BLOCK_BYTES` allow for lines of the longest
@@ -185,44 +162,41 @@ def _block_size(h: Hypergraph, out) -> int:
 def _cmd_enumeration(args: argparse.Namespace) -> int:
     h = _read_input(args.input)
     out = sys.stdout
-    block = _block_size(h, out)
+    text = _text(h.n)
+    lines = PackedSink(h.n, _block_size(h, out), lambda data: out.write(text(data)))
+    try:
+        if args.command == "enumerate":
+            if args.canonical:
+                collected: list[int] = []
+                stats = _run_engine(args.algorithm, h, collected.append)
+                collected.sort(key=edge_key)  # ascending vertex lists
+                for m in collected:
+                    lines(m)
+            else:
+                stats = _run_engine(args.algorithm, h, lines)
+        elif args.command == "count":
+            stats = _run_engine(args.algorithm, h, count_only)
+            out.write(f"{stats.outputs}\n")
+        else:  # minimum, count-minimum
+            best: int | None = None  # the first transversal of minimum size
+            size, ties = h.n + 1, 0  # its size (n + 1 before any), and how many have it
 
-    if args.command == "enumerate":
-        if args.canonical:
-            collected: list[int] = []
-            stats = _run_engine(args.algorithm, h, collected.append)
-            collected.sort(key=edge_key)  # ascending vertex lists
-            lines = _formatter(h.n)
-            for i in range(0, len(collected), block):
-                out.write(lines(collected[i : i + block]))
-        else:
-            text = _text(h.n)
-            packed = PackedSink(h.n, block, lambda data: out.write(text(data)))
-            try:
-                stats = _run_engine(args.algorithm, h, packed)
-            finally:  # lines found before an exception still come out
-                if packed.buffer:
-                    packed.flush(packed.buffer)
-    elif args.command == "count":
-        stats = _run_engine(args.algorithm, h, count_only)
-        out.write(f"{stats.outputs}\n")
-    else:  # minimum, count-minimum
-        best: int | None = None  # the first transversal of minimum size
-        size, ties = h.n + 1, 0  # its size (n + 1 before any), and how many have it
+            def tally(m: int) -> None:
+                nonlocal best, size, ties
+                c = m.bit_count()
+                if c < size:
+                    best, size, ties = m, c, 1
+                elif c == size:
+                    ties += 1
 
-        def tally(m: int) -> None:
-            nonlocal best, size, ties
-            c = m.bit_count()
-            if c < size:
-                best, size, ties = m, c, 1
-            elif c == size:
-                ties += 1
-
-        stats = _run_engine(args.algorithm, h, tally)
-        if args.command == "count-minimum":
-            out.write(f"{ties}\n")
-        elif best is not None:
-            out.write(_formatter(h.n)([best]))
+            stats = _run_engine(args.algorithm, h, tally)
+            if args.command == "count-minimum":
+                out.write(f"{ties}\n")
+            elif best is not None:
+                lines(best)
+    finally:  # lines found before an exception still come out
+        if lines.buffer:
+            lines.flush(lines.buffer)
 
     if args.stats:
         sys.stderr.write(
@@ -261,17 +235,11 @@ def _cmd_verify_measure(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds_table(args: argparse.Namespace) -> int:
-    from .analysis import bounds_table, ceil_at
+    from .analysis import format_bounds_table
 
     if args.kmax < 2:
         raise ParseError("--kmax must be at least 2")
-    sys.stdout.write("k lower upper\n")
-    for row in bounds_table(args.kmax):
-        # bounds_table's rounding rule: 4 decimals, else at least 7; repr shows the
-        # decimals a ceiled value holds, trailing zeros dropped
-        text = repr(row.upper)
-        digits = 4 if ceil_at(row.upper, 4) < 2.0 else max(7, len(text) - text.index(".") - 1)
-        sys.stdout.write(f"{row.k} {row.lower:.4f} {row.upper:.{digits}f}\n")
+    sys.stdout.write(format_bounds_table(args.kmax))
     return 0
 
 

@@ -14,8 +14,9 @@ is emitted twice.
 
 Projecting through a transversal X lowers the rank, so the rank-3 engine
 is the inner engine for rank-4 inputs and rankk the one above rank 4;
-`rankk` is imported on the first call that needs it, so a rank-4 run
-never loads it. alpha tunes only the phase split, never the emitted set.
+the package's one engine loader imports `rankk` on the first call that
+needs it, so a rank-4 run never loads it. alpha tunes only the phase
+split, never the emitted set.
 
 The projection for N depends only on which edges N misses, and most
 subsets of X share one with another. N is kept as a bitmask over X, and
@@ -66,10 +67,14 @@ from functools import partial, reduce
 from itertools import combinations
 from operator import and_
 
+from . import _loader
 from .bitsets import byte_tables, iter_bits, mask_of, relabeling, set_of
 from .errors import UnsupportedInstanceError
 from .hypergraph import Hypergraph, SearchStats, TransversalSink, _fold_byte, _fold_bytes, _private_edges
 from .rank3 import enumerate_rank3
+
+#: rankk's engine, its module loaded on the first call: only inputs above rank 4 need it.
+enumerate_rankk = _loader("enumerate_rankk")
 
 #: Phase split minimizing the worst phase on rank-4 inputs.
 DEFAULT_ALPHA = 0.66938
@@ -213,13 +218,6 @@ def enumerate_compression(h: Hypergraph, sink: TransversalSink, *, alpha: float 
         stats.leaves += times * inner_stats.leaves
         stats.max_depth = max(stats.max_depth, inner_stats.max_depth + lift)
     return stats
-
-
-def enumerate_rankk(h: Hypergraph, sink: TransversalSink) -> SearchStats:
-    """rankk's engine, its module loaded on the first call: only inputs above rank 4 need it."""
-    from .rankk import enumerate_rankk as engine
-
-    return engine(h, sink)
 
 
 def _key_table(edge_masks: Iterable[int], xm: int) -> list[int]:

@@ -22,7 +22,8 @@ nothing. A repeated subtree whose results are known is not walked again:
 handed the sink `count_only`, the walk adds its counters from a stored
 summary; handed any other sink, it also replays the subtree's stored
 outputs onto the visit's partial set: as one packed block to a
-`bitsets.PackedSink` of their width, one mask per call to other sinks.
+`bitsets.PackedSink` of their width (the CLI's one line writer), one
+mask per call to other sinks.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from collections.abc import Callable, Iterable
 from functools import partial
 from itertools import filterfalse
 from operator import index
+from types import SimpleNamespace
 from typing import Any
 
 from .bitsets import ByteTable, PackedSink, byte_entries, byte_tables, each_mask, edge_key, iter_bits, set_of, xor_each
@@ -266,36 +268,15 @@ class Instance:
         return f"Instance(V={list(iter_bits(self.vmask))}, E={edges}, S={list(iter_bits(self.smask))})"
 
 
-class SearchStats:
+class SearchStats(SimpleNamespace):
     """Counters for one run; leaves <= nodes and outputs <= leaves throughout.
 
-    Field-wise ==, a keyword repr, pickling, and no hash: what a mutable
-    `@dataclass` would generate, without importing `dataclasses` (and with
-    it `inspect`) on the enumeration path.
-    """
-
-    __slots__ = ("nodes", "leaves", "max_depth", "outputs")
+    A namespace gives field-wise ==, a keyword repr, copying, pickling and
+    no hash, as a mutable `@dataclass` would, without importing
+    `dataclasses` (and with it `inspect`) on the enumeration path."""
 
     def __init__(self, nodes: int = 0, leaves: int = 0, max_depth: int = 0, outputs: int = 0) -> None:
-        self.nodes = nodes
-        self.leaves = leaves
-        self.max_depth = max_depth
-        self.outputs = outputs
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__qualname__}({shown})"
-
-    def __reduce__(self) -> tuple:
-        return type(self), self._values()
+        super().__init__(nodes=nodes, leaves=leaves, max_depth=max_depth, outputs=outputs)
 
 
 #: An engine's branching rules: a state that has working edges, none of
@@ -504,11 +485,19 @@ def search(
     return SearchStats(nodes, leaves, deep, outputs)
 
 
+def _decimal(tok: str) -> int:
+    """tok, ASCII digits after an optional '-', as an int; else ValueError, also where `int` would read it."""
+    if tok.isascii() and (tok.isdigit() or tok[:1] == "-" and tok[1:].isdigit()):
+        return int(tok)
+    raise ValueError(tok)
+
+
 def parse_hypergraph(text: str) -> Hypergraph:
     """Parse the text format: comments (c/#), one `p hg <n> <m>` header, m edge lines.
 
     Each edge line is a whitespace-separated list of vertex ids; a blank
-    line inside the edge block denotes the empty edge. Duplicate edges
+    line inside the edge block denotes the empty edge. Ids and counts are
+    ASCII decimal numbers, a negative one with a leading '-'. Duplicate edges
     collapse. Errors report 1-based line numbers.
     """
     n = m = 0
@@ -527,7 +516,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
             if len(toks) != 4 or toks[0] != "p" or toks[1] != "hg":
                 raise ParseError("expected header 'p hg <n> <m>'", lineno)
             try:
-                n, m = int(toks[2]), int(toks[3])
+                n, m = _decimal(toks[2]), _decimal(toks[3])
             except ValueError:
                 raise ParseError(f"non-integer token in header: {stripped!r}", lineno) from None
             if n < 0 or m < 0:
@@ -538,7 +527,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
             em = 0
             for tok in raw.split():
                 try:
-                    v = int(tok)
+                    v = _decimal(tok)
                 except ValueError:
                     raise ParseError(f"non-integer token {tok!r}", lineno) from None
                 if not 1 <= v <= n:

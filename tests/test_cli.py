@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -205,7 +206,8 @@ class TestLines:
     def test_formatter_on_random_masks(self, n):
         rng = random.Random(n)
         masks = [rng.getrandbits(n + 1) & ~1 for _ in range(300)] + [0, (1 << (n + 1)) - 2]
-        assert cli._formatter(n)(masks) == "".join(map(line, masks))
+        packed = b"".join(m.to_bytes((n >> 3) + 1, "little") for m in masks)
+        assert cli._text(n)(packed) == "".join(map(line, masks))
 
     @pytest.mark.parametrize(
         "command", [["enumerate"], ["enumerate", "--canonical"], ["minimum"]], ids=["streamed", "canonical", "minimum"]
@@ -365,6 +367,11 @@ class TestExitCodes:
         code, _, err = run_cli(["count"], stdin_text="p hg 2 1\n1 5\n")
         assert code == 2
         assert "out of range" in err
+
+    def test_non_decimal_ids(self):
+        # int() would read all of these: 1_2, 1_0, +3 and the Arabic-Indic 3
+        code, out, err = run_cli(["enumerate", "--canonical"], stdin_text="p hg 1_2 2\n1_0 +3\n\u0663 12\n")
+        assert (code, out, err) == (2, "", "error: line 1: non-integer token in header: 'p hg 1_2 2'\n")
 
     def test_missing_file(self):
         code, _, err = run_cli(["count", "/nonexistent/file.hg"])
@@ -771,6 +778,28 @@ class TestVerifyMeasure:
         assert run_cli(["verify-measure", "--weights", str(path)]) == (2, "", "error: weights must be finite\n")
 
 
+    @pytest.mark.parametrize(
+        "omega, psi, first, failing",
+        [
+            # c21's eta at m = 1 is about -1e6, and 2^(-eta) overflows
+            (tv.DEFAULT_WEIGHTS.omega, (1e6,) + (0.0,) * 6, "growth_base 2^omega_5 = 1.675441706 (bound base 1.6755)", "c21"),
+            # 2^omega_5 overflows
+            (tv.DEFAULT_WEIGHTS.omega[:5] + (1e308,) * 2, tv.DEFAULT_WEIGHTS.psi, "growth_base 2^omega_5 = inf (bound base inf)", "deltas"),
+        ],
+        ids=["psi0-1e6", "omega5-1e308"],
+    )
+    def test_overflowing_table_fails_in_full(self, tmp_path, omega, psi, first, failing):
+        path = tmp_path / "w.txt"
+        path.write_text("".join(f"omega_{i} {x!r}\n" for i, x in enumerate(omega)) + "".join(f"psi_{i} {x!r}\n" for i, x in enumerate(psi)))
+        code, out, err = run_cli(["verify-measure", "--weights", str(path)])
+        lines = out.splitlines()
+        assert (code, err, len(lines), lines[0]) == (1, "", 13, first)
+        assert lines[-1].startswith("overall FAIL")
+        assert any(line.startswith(failing) and line.endswith(" FAIL") for line in lines)
+        report = tv.verify_weights(tv.Weights(omega, psi))
+        assert all(not row.passed(report.tolerance) for row in report.rows if row.lhs == float("inf"))
+
+
 class TestBoundsTable:
     def test_golden_prefix(self):
         code, out, _ = run_cli(["bounds-table", "--kmax", "5"])
@@ -805,6 +834,16 @@ class TestBoundsTable:
             "29 1.9222 1.999999998",
             "30 1.9242 1.999999999",
         ]
+
+    def test_any_kmax(self):
+        # from k = 516 C(2k-1, k) is too large for a float, and from k = 41 every upper is 2
+        start = time.perf_counter()
+        code, out, err = run_cli(["bounds-table", "--kmax", "1000"])
+        elapsed = time.perf_counter() - start
+        lines = out.splitlines()
+        assert (code, err, len(lines), lines[-1]) == (0, "", 1000, "1000 1.9959 2.0000000")
+        assert out.startswith(run_cli(["bounds-table", "--kmax", "30"])[1])
+        assert elapsed < 2.0  # one bisection per row below 2, none after
 
     def test_kmax_validated(self):
         code, _, _ = run_cli(["bounds-table", "--kmax", "1"])

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 
 import pytest
@@ -36,6 +37,24 @@ class TestParse:
     def test_non_integer_token(self):
         with pytest.raises(ParseError, match="line 2.*'x'"):
             parse_hypergraph("p hg 3 1\n1 x\n")
+
+    @pytest.mark.parametrize("tok", ["1_0", "+3", "\u0663", "-", "--3"], ids=["underscore", "plus", "arabic-indic", "dash", "two-dashes"])
+    def test_non_decimal_id(self, tok):
+        # an id is ASCII digits after an optional '-'; int() would read the first three
+        with pytest.raises(ParseError, match=re.escape(f"line 2: non-integer token {tok!r}")):
+            parse_hypergraph(f"p hg 12 1\n{tok} 12\n")
+
+    @pytest.mark.parametrize("header", ["p hg 1_2 1", "p hg +3 1", "p hg 3 \u0661", "p hg 3 +1"])
+    def test_non_decimal_count(self, header):
+        with pytest.raises(ParseError, match=re.escape(f"line 1: non-integer token in header: {header!r}")):
+            parse_hypergraph(f"{header}\n1\n")
+
+    def test_signed_and_padded_decimals(self):
+        with pytest.raises(ParseError, match=re.escape("line 2: vertex -3 out of range 1..12")):
+            parse_hypergraph("p hg 12 1\n-3\n")
+        with pytest.raises(ParseError, match=re.escape("line 1: vertex and edge counts must be non-negative")):
+            parse_hypergraph("p hg -1 0\n")
+        assert parse_hypergraph("p hg 012 1\n007 12\n") == Hypergraph(12, [{7, 12}])
 
     def test_missing_header(self):
         with pytest.raises(ParseError, match="header"):
