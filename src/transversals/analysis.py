@@ -385,7 +385,12 @@ def lower_bound_base(k: int) -> float:
     through the log of the exact binomial, too large for a float from k = 516."""
     if k < 1:
         raise ValueError("defined for k >= 1")
-    return math.exp(math.log(math.comb(2 * k - 1, k)) / (2 * k - 1))
+    return _root(math.comb(2 * k - 1, k), k)
+
+
+def _root(c: int, k: int) -> float:
+    """c^(1/(2k-1)) for an int c >= 1 of any size."""
+    return math.exp(math.log(c) / (2 * k - 1))
 
 
 def floor_at(x: float, decimals: int) -> float:
@@ -417,7 +422,9 @@ def _bounds(k_max: int) -> Iterator[tuple[BoundsRow, int]]:
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
     upper, decimals = 0.0, 4
+    binom = 1  # C(2k-1, k), carried from row to row: each row costs one small product, not a binomial
     for k in range(2, k_max + 1):
+        binom = binom * 2 * (2 * k - 1) // k  # C(2k-1, k) = C(2k-3, k-1) * 2(2k-1) / k, exact
         if k == 2:
             # Moon and Moser: no graph has more maximal independent sets than disjoint triangles.
             upper = ceil_at(lower_bound_base(2), 4)
@@ -430,7 +437,7 @@ def _bounds(k_max: int) -> Iterator[tuple[BoundsRow, int]]:
             upper, decimals = ceil_at(raw, 4), 4
             if upper >= 2.0:
                 upper, decimals = next(((c, d) for d in range(7, 13) if (c := ceil_at(raw, d)) < 2.0), (2.0, 7))
-        yield BoundsRow(k, floor_at(lower_bound_base(k), 4), upper), decimals
+        yield BoundsRow(k, floor_at(_root(binom, k), 4), upper), decimals
 
 
 def bounds_table(k_max: int) -> list[BoundsRow]:

@@ -3,7 +3,7 @@
 Phase 1 scans the vertex subsets of size exactly floor(alpha*n) in
 lexicographic order and stops at the first transversal X. If there is
 none, every minimal transversal is larger than floor(alpha*n): the scan
-then walks the sizes n down to floor(alpha*n), each in lexicographic
+then walks the sizes n down to floor(alpha*n) + 1, each in lexicographic
 order, and emits the minimal transversals it meets. Otherwise X anchors
 phase 2: for each N inside X (binary-counter order), the hyperedges hit
 by N are dropped, the rest lose the vertices X minus N, and an inner
@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from functools import partial, reduce
 from itertools import combinations
 from operator import and_
@@ -109,12 +109,16 @@ def project(h: Hypergraph, x: Iterable[int] | int, n_sub: Iterable[int] | int) -
     return Hypergraph._from_masks(h.n, (e & keep for e in h.edge_masks() if not e & nm))
 
 
+def _subsets(n: int, size: int) -> Iterator[int]:
+    """The masks of the `size`-vertex subsets of 1..n, in lexicographic order."""
+    return map(sum, combinations([1 << v for v in range(1, n + 1)], size))  # distinct bits: the sum is the union
+
+
 def _first_split(h: Hypergraph, size: int) -> tuple[int | None, int]:
     """The mask of the first transversal of `size` vertices in lexicographic order (or None), and the subsets scanned."""
     scanned = 0
-    for picked in combinations([1 << v for v in range(1, h.n + 1)], size):
+    for sm in _subsets(h.n, size):
         scanned += 1
-        sm = sum(picked)  # their union, as the bits are distinct
         if h.is_transversal(sm):
             return sm, scanned
     return None, scanned
@@ -149,13 +153,12 @@ def enumerate_compression(h: Hypergraph, sink: TransversalSink, *, alpha: float 
 
     if xm is None:
         # Minimum transversal size exceeds `size`: every minimal transversal
-        # sits in the scanned range.
-        bits = [1 << v for v in range(1, h.n + 1)]
-        for s in range(h.n, size - 1, -1):
-            for picked in combinations(bits, s):
-                stats.nodes += 1
-                stats.leaves += 1
-                sm = sum(picked)  # their union, as the bits are distinct
+        # sits in the sizes above it. Each subset counts as a node and a leaf,
+        # those of `size` too, which phase 1 has just rejected.
+        stats.leaves = sum(math.comb(h.n, s) for s in range(size, h.n + 1))
+        stats.nodes += stats.leaves
+        for s in range(h.n, size, -1):
+            for sm in _subsets(h.n, s):
                 if h.is_minimal_transversal(sm):
                     sink(sm)
                     stats.outputs += 1
@@ -186,7 +189,7 @@ def enumerate_compression(h: Hypergraph, sink: TransversalSink, *, alpha: float 
     # Per distinct key: the inner outputs Y as masks, each with the edges it
     # misses, and the edges that every Y misses.
     memo: dict[int, tuple[list[tuple[int, int]], int]] = {}
-    runs: dict[int, tuple[SearchStats, int]] = {}  # the inner counters, and what X's vertices add
+    times = Counter(keys)  # the N of each key, each of which counts the key's inner run once
 
     n_mask = outputs = 0
     for c, key in enumerate(reversed(keys)):
@@ -194,10 +197,13 @@ def enumerate_compression(h: Hypergraph, sink: TransversalSink, *, alpha: float 
         if hit is None:
             edges = project(h, xm, n_mask).edge_masks()
             found: list[int] = []
-            inner_stats = inner(Hypergraph._from_masks(h.n - width, map(local.__getitem__, edges)), found.append)
+            run = inner(Hypergraph._from_masks(h.n - width, map(local.__getitem__, edges)), found.append)
             # Kept, X's vertices would be isolated, and both inner engines discard
             # those first, one node each, unless the root is already a leaf.
-            runs[key] = inner_stats, width if edges and 0 not in edges else 0
+            lift = width if edges and 0 not in edges else 0
+            stats.nodes += times[key] * (run.nodes + lift)
+            stats.leaves += times[key] * run.leaves
+            stats.max_depth = max(stats.max_depth, run.max_depth + lift)
             ys = [(y, ~h._fold(y)[0]) for y in map(spread, found)]
             hit = memo[key] = ys, reduce(and_, (miss_y for _, miss_y in ys), -1)
         ys, never = hit
@@ -212,11 +218,6 @@ def enumerate_compression(h: Hypergraph, sink: TransversalSink, *, alpha: float 
                         outputs += 1
         n_mask = (n_mask - xm) & xm  # the next submask of X
     stats.outputs = outputs
-    for key, times in Counter(keys).items():
-        inner_stats, lift = runs[key]
-        stats.nodes += times * (inner_stats.nodes + lift)
-        stats.leaves += times * inner_stats.leaves
-        stats.max_depth = max(stats.max_depth, inner_stats.max_depth + lift)
     return stats
 
 

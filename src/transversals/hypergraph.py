@@ -154,17 +154,22 @@ class Hypergraph:
             self._inc = tuple(inc)
         return self._inc
 
-    def _fold(self, s: int) -> tuple[int, int, list[int]]:
+    def _fold(self, s: int) -> tuple[int, int, tuple[int, ...]]:
         """The edges that s, a range-checked mask, hits once or more and twice
         or more, and the incidence rows of its members in ascending order.
 
-        The rows are folded a byte of vertices at a time: each byte's
+        A set of one vertex or none reads its row, if any, directly. Larger
+        ones are folded a byte of vertices at a time: each byte's
         (once, twice, rows) comes from a table filled on first use
         (`_fold_bytes`).
         """
+        if not s & (s - 1):
+            rows = (self._incidence()[s.bit_length() - 1],) if s else ()
+            return sum(rows), 0, rows  # once is the one row, or 0
         if self._folds is None:
             self._folds = byte_tables(self.n, partial(_fold_byte, self._incidence()))
-        return _fold_bytes(s, self._folds)
+        once, twice, rows = _fold_bytes(s, self._folds)
+        return once, twice, tuple(rows)
 
     def is_minimal_transversal(self, s: Iterable[int] | int, fold: tuple | None = None) -> bool:
         """True iff s hits every edge and every member of s has a private edge.
@@ -391,15 +396,7 @@ def search(
     recording = 0  # how many recordings are open
     put_block = sink.extend if type(sink) is PackedSink and sink.width == width else partial(each_mask, sink, width)
 
-    def fold_of(m: int) -> tuple:
-        """leaf_graph._fold(m), its rows a tuple; one vertex or none reads no table."""
-        if m & (m - 1):
-            once, twice, rows = leaf_graph._fold(m)
-            return once, twice, tuple(rows)
-        rows = (leaf_graph._incidence()[m.bit_length() - 1],) if m else ()
-        return sum(rows), 0, rows  # once is the one row, or 0
-
-    stack = [(root, root.smask, carry, 0, fold_of(root.smask))]
+    stack = [(root, root.smask, carry, 0, leaf_graph._fold(root.smask))]
     pop, push = stack.pop, stack.append
     while stack:
         inst, s, carry, depth, fold = pop()
@@ -440,7 +437,7 @@ def search(
                 if child.eta() > bound:
                     raise SearchInvariantError(f"|V|+|E| did not decrease at {inst!r}")
                 delta = child.smask ^ s
-                children.append((child, delta, value, fold_of(delta)))
+                children.append((child, delta, value, leaf_graph._fold(delta)))
             children.reverse()
             if len(edges) <= room:
                 memo[key] = children

@@ -23,9 +23,9 @@ degree >= 1, >= 2 and >= 3. R1_0 reads vmask & ~s1; R1_1 only looks for
 supersets of small edges that lie inside s2; R2 takes its pivot from
 s1 & ~s2 and tests its companions' degree 1 against s2; R4 splits on s3:
 with s3 empty every vertex has degree exactly 2 (R4_2/R4_3, pivot the
-lowest bit of s1), otherwise R4_1. Exact degree counts are computed only
-for the two tie-breaks that need them: among R3's vertices tied on
-size-2 degree, and for R4_1's maximum-degree pivot.
+lowest bit of s1), otherwise R4_1. Exact degree counts come from one
+bit-sliced count (`_busiest`), only where a pivot needs them: R3's size-2
+degrees, then full degrees among the vertices tied on those, and R4_1's.
 
 All pivots are deterministic: smallest vertex id, then the canonical edge
 order. The tree is walked by the kernel shared with rankk,
@@ -42,6 +42,7 @@ reductions R1_* with one select, discard or drop_edge.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from typing import NamedTuple
 
 from .bitsets import edge_key, iter_bits
@@ -124,25 +125,17 @@ def next_rule(inst: Instance) -> RuleId:
         return RuleId("R2_3", branches=((vb, others), (0, vb)))
 
     if pairs:
-        d2: dict[int, int] = {}
-        for e in pairs:
-            lo = e & -e
-            d2[lo] = d2.get(lo, 0) + 1
-            d2[e ^ lo] = d2.get(e ^ lo, 0) + 1
-        top = max(d2.values())
-        tied = 0
-        for xb, d in d2.items():
-            if d == top:
-                tied |= xb
-        vb = _busiest(edges, tied) if tied & (tied - 1) else tied
+        tied = _busiest(edges, _busiest(pairs, s1))
+        vb = tied & -tied
         partners = 0
         for e in pairs:
             if e & vb:
                 partners |= e ^ vb
-        return RuleId(f"R3_{min(top, 3)}", branches=((vb, 0), (partners, vb)))
+        return RuleId(f"R3_{min(partners.bit_count(), 3)}", branches=((vb, 0), (partners, vb)))
 
     if s3:
         vb = _busiest(edges, s3)
+        vb &= -vb
         return RuleId("R4_1", branches=((vb, 0), (0, vb)))
     # Every vertex now lies in exactly two triples.
     vb = s1 & -s1
@@ -155,8 +148,8 @@ def next_rule(inst: Instance) -> RuleId:
     return RuleId("R4_3", branches=((vb | la, eb ^ vb), (vb, la), (0, vb)))
 
 
-def _busiest(edges: frozenset[int], cand: int) -> int:
-    """Bit of the lowest vertex in cand that lies in the most edges.
+def _busiest(edges: Iterable[int], cand: int) -> int:
+    """The vertices of cand that lie in the most edges, as a mask; all of cand if none lies in any.
 
     Counts degrees of the cand vertices in bit-sliced form: digits[i]
     holds bit i of every vertex's count, and adding an edge is a
@@ -178,7 +171,7 @@ def _busiest(edges: frozenset[int], cand: int) -> int:
     for d in reversed(digits):
         if cand & d:
             cand &= d
-    return cand & -cand
+    return cand
 
 
 def apply_rule(inst: Instance, rule: RuleId) -> list[Instance]:

@@ -129,6 +129,25 @@ class TestPhaseOneScan:
             assert (stats.nodes, stats.leaves, stats.max_depth) == (math.comb(h.n, size) + checked, checked, 0)
             assert stats.outputs == len(oracle(h))
 
+    def test_no_anchor_scan_checks_only_the_sizes_above(self, monkeypatch):
+        # floor(alpha * 16) = 10, and every transversal holds 1..12: phase 1 rejects all C(16, 10) subsets
+        h = Hypergraph(16, [*({v} for v in range(1, 13)), {13, 14, 15, 16}])
+        checks = 0
+        check = Hypergraph.is_minimal_transversal
+
+        def counted(self, s, fold=None):
+            nonlocal checks
+            checks += 1
+            return check(self, s, fold)
+
+        monkeypatch.setattr(Hypergraph, "is_minimal_transversal", counted)
+        found = []
+        stats = enumerate_compression(h, found.append)
+        assert found == [mask_of(range(1, 13)) | 1 << v for v in (13, 14, 15, 16)]
+        assert (stats.nodes, stats.leaves, stats.max_depth, stats.outputs) == (22901, 14893, 0, 4)
+        # sizes 11 to 16 only; the C(16, 10) = 8,008 subsets of size 10 still count as nodes and leaves
+        assert checks == 14893 - math.comb(16, 10) == 6885
+
 
 class TestEnumerate:
     def test_inner_engine_override(self):

@@ -1,6 +1,9 @@
 import random
 import re
 import sys
+from functools import reduce
+from itertools import combinations
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -364,7 +367,25 @@ class TestByteBoundaries:
             for row in rows:
                 twice |= once & row
                 once |= row
-            assert h._fold(mask_of(s)) == (once, twice, rows)
+            assert h._fold(mask_of(s)) == (once, twice, tuple(rows))
+
+    @pytest.mark.parametrize("n", BYTE_SIZES)
+    def test_fold_of_none_one_and_many(self, n):
+        h = byte_boundary_graph(n, 13)
+        inc = h._incidence()
+        assert h._fold(0) == (0, 0, ())
+        for v in range(1, n + 1):
+            assert h._fold(1 << v) == (inc[v], 0, (inc[v],))
+        assert h._folds is None  # a set of one vertex or none reads no table
+        straddling = {v for v in range(1, n + 1) if v % 8 in (7, 0, 1)}
+        for s in (straddling, set(range(1, n + 1)), set(range(1, n + 1, 2)), {1, max(n, 1)}):
+            if len(s) < 2:
+                continue
+            rows = tuple(inc[v] for v in sorted(s))
+            twice = 0  # the edges of two members or more, by definition
+            for a, b in combinations(rows, 2):
+                twice |= a & b
+            assert h._fold(mask_of(s)) == (reduce(or_, rows), twice, rows), sorted(s)
 
     def test_tables_filled_lazily_and_outside_equality(self):
         edges = [{7, 8}, {8, 9}, {15, 16}, {16, 17}, {7, 17}]

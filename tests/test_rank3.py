@@ -1,11 +1,13 @@
 import hashlib
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import transversals as tv
 from transversals import Hypergraph, Instance, enumerate_rank3, next_rule
-from transversals.bitsets import mask_of, set_of
-from transversals.rank3 import RuleId, apply_rule
+from transversals.bitsets import iter_bits, mask_of, set_of
+from transversals.rank3 import RuleId, _busiest, apply_rule
 
 from helpers import emitted, instance_deck, no_memo, oracle, partial_root, run  # noqa: F401 (no_memo is a fixture)
 
@@ -106,6 +108,17 @@ class TestRuleIdContract:
     def test_halting_rules(self):
         assert rule_on([]) == RuleId("R0_1")
         assert rule_on([set(), {1, 2}]) == RuleId("R0_0")
+
+
+# Masks on vertices 1..8: few enough that degrees tie often, and cand may hold vertices in no edge.
+MASKS_1_TO_8 = st.integers(0, 255).map(lambda m: m << 1)
+
+
+@given(st.lists(MASKS_1_TO_8, max_size=12), MASKS_1_TO_8)
+def test_busiest_is_every_cand_vertex_of_top_degree(edges, cand):
+    degree = {v: sum(e >> v & 1 for e in edges) for v in iter_bits(cand)}
+    top = max(degree.values(), default=0)
+    assert _busiest(edges, cand) == mask_of(v for v, d in degree.items() if d == top)
 
 
 class TestApplyRule:
