@@ -8,6 +8,16 @@ than 26 vertices or no memory for its subset table; rankk runs at every
 rank), 4 internal invariant breach, 141 (128 + SIGPIPE) when the reader
 closes stdout early.
 
+`main` reads an enumeration command (`enumerate`, `count`, `minimum`,
+`count-minimum`) whose options are written out in full without argparse:
+`--stats`, `--canonical` (`enumerate` only), `--algorithm A` with A one
+of its choices, and at most one input, `-` or a word that does not
+start with `-`. Every other command line goes to the argparse parser
+that `_build_parser` builds, and only then is argparse imported: help,
+usage errors, abbreviations such as `--stat`, `--algorithm=A`, `--`, a
+second input, and the commands `generate`, `verify-measure` and
+`bounds-table`. The reader gives the fields the parser would give.
+
 The enumeration commands import only the engine they run: `cli`'s
 `enumerate_rank3`, `enumerate_rankk` and `enumerate_compression`, from
 the package's one engine loader, load their module on the first call
@@ -24,50 +34,57 @@ terminal): each little-endian byte of a block maps, through one per-run
 space, the table of the last position adding the line end. Streaming
 `enumerate` hands the engine that sink, and the search kernel hands it
 each replayed subtree's outputs as one packed block, so most lines
-never exist as ints; `--canonical` and `minimum` feed it their masks.
+never exist as ints; `--canonical` packs its sorted masks a block at a
+time, and `minimum` feeds it its one mask.
 """
 
 from __future__ import annotations
 
-import argparse
 import errno
 import os
 import sys
 from collections.abc import Callable
-from itertools import cycle
+from itertools import cycle, repeat
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from . import _loader
 from .bitsets import PackedSink, byte_tables, edge_key, iter_bits, mask_of
 from .errors import ParseError, SearchInvariantError, UnsupportedInstanceError
 from .hypergraph import Hypergraph, SearchStats, TransversalSink, count_only, parse_hypergraph, serialize_hypergraph
 
+if TYPE_CHECKING:
+    import argparse
+
 #: At most this many masks per block, and at most this many bytes of lines:
 #: stdout's buffer size, so each block's `write` comes no later than the
 #: same lines written one by one would have filled the buffer.
 _BLOCK, _BLOCK_BYTES = 256, 8192
 
+#: The enumeration commands with their help lines, and `--algorithm`'s choices.
+_ENUMERATION = {
+    "enumerate": "print every minimal transversal, one per line",
+    "count": "print the number of minimal transversals",
+    "minimum": "print one minimum-cardinality minimal transversal",
+    "count-minimum": "print the number of minimum-cardinality minimal transversals",
+}
+_ALGORITHMS = ("auto", "rank3", "rankk", "compression", "oracle")
+
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse  # only for the command lines `_read_enumeration` leaves to it
+
     parser = argparse.ArgumentParser(
         prog="transversals",
         description="Enumerate all minimal transversals (minimal hitting sets) of a hypergraph.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in (
-        ("enumerate", "print every minimal transversal, one per line"),
-        ("count", "print the number of minimal transversals"),
-        ("minimum", "print one minimum-cardinality minimal transversal"),
-        ("count-minimum", "print the number of minimum-cardinality minimal transversals"),
-    ):
+    for name, help_text in _ENUMERATION.items():
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(run=_cmd_enumeration)
         p.add_argument("input", nargs="?", default="-", help="input file (default: stdin)")
-        p.add_argument(
-            "--algorithm",
-            choices=("auto", "rank3", "rankk", "compression", "oracle"),
-            default="auto",
-        )
+        p.add_argument("--algorithm", choices=_ALGORITHMS, default="auto")
         p.add_argument("--stats", action="store_true", help="print node/leaf counters to stderr")
         if name == "enumerate":
             p.add_argument("--canonical", action="store_true", help="buffer and sort the output")
@@ -89,6 +106,34 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, required=True)
 
     return parser
+
+
+def _read_enumeration(argv: list[str]) -> SimpleNamespace | None:
+    """The fields `_build_parser().parse_args(argv)` gives, for an
+    enumeration command with its options written out in full (the module
+    docstring lists the forms); None for every other argv."""
+    if not argv or argv[0] not in _ENUMERATION:
+        return None
+    args = SimpleNamespace(command=argv[0], run=_cmd_enumeration, input=None, algorithm="auto", stats=False)
+    if args.command == "enumerate":
+        args.canonical = False
+    words = iter(argv[1:])
+    for word in words:
+        if word == "--stats":
+            args.stats = True
+        elif word == "--canonical" and args.command == "enumerate":
+            args.canonical = True
+        elif word == "--algorithm":
+            args.algorithm = next(words, None)
+            if args.algorithm not in _ALGORITHMS:
+                return None
+        elif args.input is None and (word == "-" or not word.startswith("-")):
+            args.input = word
+        else:
+            return None
+    if args.input is None:
+        args.input = "-"
+    return args
 
 
 def _read_input(path: str) -> Hypergraph:
@@ -159,19 +204,20 @@ def _block_size(h: Hypergraph, out) -> int:
     return max(1, min(_BLOCK, _BLOCK_BYTES // max(longest, 1)))
 
 
-def _cmd_enumeration(args: argparse.Namespace) -> int:
+def _cmd_enumeration(args: argparse.Namespace | SimpleNamespace) -> int:
     h = _read_input(args.input)
     out = sys.stdout
-    text = _text(h.n)
-    lines = PackedSink(h.n, _block_size(h, out), lambda data: out.write(text(data)))
+    text, block = _text(h.n), _block_size(h, out)
+    lines = PackedSink(h.n, block, lambda data: out.write(text(data)))
     try:
         if args.command == "enumerate":
             if args.canonical:
                 collected: list[int] = []
                 stats = _run_engine(args.algorithm, h, collected.append)
                 collected.sort(key=edge_key)  # ascending vertex lists
-                for m in collected:
-                    lines(m)
+                widths, order = repeat(lines.width), repeat("little")
+                for start in range(0, len(collected), block):  # packed a block at a time
+                    lines.extend(b"".join(map(int.to_bytes, collected[start : start + block], widths, order)))
             else:
                 stats = _run_engine(args.algorithm, h, lines)
         elif args.command == "count":
@@ -244,11 +290,13 @@ def _cmd_bounds_table(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse reports usage errors itself
-        return int(exc.code or 0)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_enumeration(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse reports usage errors itself
+            return int(exc.code or 0)
     try:
         if sys.stdout is None:  # fd 1 was closed when the interpreter started
             raise OSError(errno.EBADF, "standard output is closed")

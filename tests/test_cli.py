@@ -8,6 +8,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import transversals as tv
 from transversals import bitsets, cli, compression, find_split, hypergraph, serialize_hypergraph
@@ -688,6 +690,68 @@ class TestParser:
         assert got == self.full_parser(list(argv))
         if sys.version_info < (3, 12):
             assert got == PARSER_GOLDENS[argv]
+
+
+COMMANDS = ["enumerate", "count", "minimum", "count-minimum", "generate", "verify-measure", "bounds-table"]
+#: Every command (and the removed `bench`), flag and choice of the full
+#: parser, and forms that only argparse reads.
+WORDS = [
+    *COMMANDS, "bench", "--stats", "--canonical", "--algorithm", *cli._ALGORITHMS, "--kind", "lb", "random", "--k", "--n",
+    "--m", "--seed", "--weights", "--kmax", "3", "-", "--", "-h", "--help", "--stat", "--alg", "--algorithm=rank3",
+    "", "-1", "in.hg", "other.hg",
+]
+#: Half of the words drawn come from the reader's own, so that many argv reach its end.
+READER_WORDS = ["--stats", "--canonical", "--algorithm", *cli._ALGORITHMS, "-", "in.hg"]
+WORD = st.one_of(st.sampled_from(READER_WORDS), st.sampled_from(WORDS))
+
+
+def argparse_fields(argv):
+    """vars() of the full parser's namespace, or None where it exits."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+class TestReader:
+    """`main` reads the enumeration commands written out in full without
+    argparse; whatever that reader accepts, argparse reads the same way."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.sampled_from(COMMANDS), st.sampled_from(WORDS)), st.lists(WORD, max_size=5))
+    def test_agrees_with_argparse(self, first, rest):
+        argv = [first, *rest]
+        got = cli._read_enumeration(argv)
+        if got is not None:
+            assert vars(got) == argparse_fields(argv)
+
+    @pytest.mark.parametrize("command", list(cli._ENUMERATION))
+    def test_benchmark_shape_skips_argparse(self, command):
+        # the benchmark runs `transversals <command> --stats <input>`
+        argv = [command, "--stats", "in.hg"]
+        got = cli._read_enumeration(argv)
+        assert got is not None and vars(got) == argparse_fields(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--stat", "in.hg"],
+            ["count", "--alg", "rank3"],
+            ["count", "--algorithm=rankk"],
+            ["count", "--algorithm"],
+            ["count", "--algorithm", "nope"],
+            ["count", "in.hg", "other.hg"],
+            ["count", "--", "in.hg"],
+            ["count", "-1"],
+            ["count", "-h"],
+            ["minimum", "--canonical"],
+            ["generate", "--kind", "lb", "--k", "3", "--n", "6"],
+            [],
+        ],
+    )
+    def test_other_forms_go_to_argparse(self, argv):
+        assert cli._read_enumeration(argv) is None
 
 
 class TestGenerate:

@@ -26,8 +26,10 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
 
 #: Modules the enumeration path must not load: the analysis toolbox, the
-#: generators, and `dataclasses` with its `inspect` import.
-HEAVY = ("dataclasses", "inspect", "transversals.analysis", "transversals.instances")
+#: generators, `dataclasses` with its `inspect` import, and `argparse`
+#: with its `gettext` import (the enumeration commands written out in
+#: full are read without it).
+HEAVY = ("argparse", "dataclasses", "gettext", "inspect", "transversals.analysis", "transversals.instances")
 
 #: What `import transversals.cli` loads: the kernel, and no engine.
 CLI_IMPORT = {

@@ -1,13 +1,13 @@
 import hashlib
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import transversals as tv
 from transversals import Hypergraph, Instance, enumerate_rank3, next_rule
 from transversals.bitsets import iter_bits, mask_of, set_of
-from transversals.rank3 import RuleId, _busiest, apply_rule
+from transversals.rank3 import MEASURE_TOLERANCE, RuleId, _busiest, apply_rule
 
 from helpers import emitted, instance_deck, no_memo, oracle, partial_root, run  # noqa: F401 (no_memo is a fixture)
 
@@ -244,6 +244,12 @@ class TestEnumerate:
             assert stats.max_depth < stats.nodes
 
 
+#: Rank-<=3 hypergraphs on 1..10 vertices, isolated vertices and repeated edges included.
+RANK3_DECKS = st.integers(1, 10).flatmap(
+    lambda n: st.builds(Hypergraph, st.just(n), st.lists(st.sets(st.integers(1, n), min_size=1, max_size=3), max_size=14))
+)
+
+
 class TestMeasureSoundness:
     def test_random_instances(self):
         for h in instance_deck(80, kmin=2, kmax=3):
@@ -253,6 +259,15 @@ class TestMeasureSoundness:
         for n in (5, 10):
             stats = enumerate_rank3(tv.gen_lower_bound(3, n), lambda t: None, check_measure=True)
             assert stats.leaves <= n**3 * 1.6755**n
+
+    @settings(max_examples=300, deadline=None)
+    @given(RANK3_DECKS)
+    def test_leaves_within_two_to_the_measure(self, h):
+        # check_measure's per-node inequality, telescoped over the tree with
+        # mu >= 0 at every leaf: leaves <= 2**measure(h), plus the tolerance
+        # once per inner node; no constant and no polynomial factor
+        stats = enumerate_rank3(h, tv.count_only)
+        assert stats.leaves <= 2 ** tv.measure(h) + MEASURE_TOLERANCE * (stats.nodes - stats.leaves)
 
     def test_bad_weights_detected(self, monkeypatch):
         from transversals import analysis
