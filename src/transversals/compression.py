@@ -20,18 +20,17 @@ split, never the emitted set.
 
 The projection for N depends only on which edges N misses, and most
 subsets of X share one with another. N is kept as a bitmask over X, and
-one subset-OR table over X gives every N a key that is equal exactly for
-equal projections. Phase 2 is one loop over N: a new key runs the inner
-engine once and stores its outputs Y, each with the edges it misses, and
-every N passes its key's Y through the final filter in that order, so an
-N's outputs stream after its inner run returns. This relies on the inner
-engine giving the same outputs for equal hypergraphs, as every engine in
-the package does. An anchor of more than _MAX_ANCHOR vertices is
-refused before the table is built.
+one subset-OR table over X gives every N a key, a bitmap over one list
+of outside-X edge parts that names exactly N's projected edges. Phase 2
+is one loop over N: a new key's parts are the hypergraph of one inner
+run, whose outputs Y are stored, each with the edges it misses; every N
+passes its key's Y through the final filter in that order, so an N's
+outputs stream after its inner run returns. This relies on the inner
+engine giving equal outputs for equal hypergraphs, as all engines here do.
 
-The inner engine runs without X's vertices: the projection, whose edges
-miss X, is relabelled onto the vertices outside X in their order
-(`bitsets.relabeling`), and its outputs are mapped back. Kept, X's
+The inner engine runs without X's vertices: the parts list, whose parts
+miss X, is relabelled once onto the vertices outside X in their order
+(`bitsets.relabeling`), and the outputs are mapped back. Kept, X's
 vertices would be isolated, and both inner engines discard isolated
 vertices first, one node each (rank3's R1_0, rankk's R1). After those
 discards both runs stand at the same state up to the relabelling, which
@@ -96,9 +95,9 @@ def project(h: Hypergraph, x: Iterable[int] | int, n_sub: Iterable[int] | int) -
     """Drop edges hit by n_sub, strip x-minus-n_sub from the rest.
 
     x and n_sub are vertex sets or their masks (bit v for vertex v). The
-    result keeps the vertex universe 1..n; the vertices of x simply end
-    up isolated, which no minimal transversal ever uses. When x is a
-    transversal the projected rank drops by at least one.
+    result keeps the vertex universe 1..n, x's vertices isolated, which no
+    minimal transversal uses; through a transversal x the rank drops by at
+    least one. Phase 2 does not call this: its key table names the edges.
     """
     xm = x if isinstance(x, int) else mask_of(x)
     nm = n_sub if isinstance(n_sub, int) else mask_of(n_sub)
@@ -177,13 +176,12 @@ def enumerate_compression(h: Hypergraph, sink: TransversalSink, *, alpha: float 
     # One key per N, equal for exactly the N with equal projections. The c-th
     # N has key keys[full ^ c] = keys[full - c], so the loop reads keys backwards.
     try:
-        keys = _key_table(h.edge_masks(), xm)
+        keys, parts = _key_table(h.edge_masks(), xm)
     except MemoryError:
         raise UnsupportedInstanceError(f"no memory for compression's 2^{width} subsets of its anchor") from None
-    # The inner runs see the vertices outside X only, relabelled in order to
-    # 1..n - |X|; a projected edge is the outside part of an input edge.
+    # The inner runs see the vertices outside X only, relabelled in order to 1..n - |X|.
     squeeze, spread = relabeling(((2 << h.n) - 1) & ~xm, h.n)
-    local = {e: squeeze(e) for e in {e & ~xm for e in h.edge_masks()}}
+    parts = list(map(squeeze, parts))
     inc = h._incidence()
     folds = byte_tables(width - 1, partial(_fold_byte, tuple(inc[v] for v in iter_bits(xm))))
     # Per distinct key: the inner outputs Y as masks, each with the edges it
@@ -195,9 +193,9 @@ def enumerate_compression(h: Hypergraph, sink: TransversalSink, *, alpha: float 
     for c, key in enumerate(reversed(keys)):
         hit = memo.get(key)
         if hit is None:
-            edges = project(h, xm, n_mask).edge_masks()
+            edges = [parts[i] for i in iter_bits(key)]
             found: list[int] = []
-            run = inner(Hypergraph._from_masks(h.n - width, map(local.__getitem__, edges)), found.append)
+            run = inner(Hypergraph._from_masks(h.n - width, edges), found.append)
             # Kept, X's vertices would be isolated, and both inner engines discard
             # those first, one node each, unless the root is already a leaf.
             lift = width if edges and 0 not in edges else 0
@@ -221,17 +219,18 @@ def enumerate_compression(h: Hypergraph, sink: TransversalSink, *, alpha: float 
     return stats
 
 
-def _key_table(edge_masks: Iterable[int], xm: int) -> list[int]:
-    """keys[S]: a bitmap over the distinct outside-X parts of the edges whose
-    inside-X part lies in S, a set over X (bit j for X's j-th lowest vertex).
+def _key_table(edge_masks: Iterable[int], xm: int) -> tuple[list[int], list[int]]:
+    """(keys, parts): parts lists the edges' distinct outside-X parts, and
+    keys[S] sets bit i iff an edge with outside part parts[i] has its
+    inside-X part in S, a set over X (bit j for X's j-th lowest vertex).
 
     N's projection keeps the outside parts of exactly the edges whose
-    inside part avoids N, so keys[full ^ N] (full: all of X) is equal for
-    two N iff their projections are. Each edge ORs its outside part's bit
-    into the slot of its exact inside part; the subset-OR (zeta) transform
-    then gathers the slots of every subset in O(|X| 2^|X|) ORs (Bjorklund,
-    Husfeldt, Kaski and Koivisto, "Fourier meets Mobius: fast subset
-    convolution", STOC 2007).
+    inside part avoids N, so keys[full ^ N] (full: all of X) names N's
+    projected edges. Each edge ORs its outside part's bit into the slot
+    of its exact inside part; the subset-OR (zeta) transform then gathers
+    the slots of every subset in O(|X| 2^|X|) ORs (Bjorklund, Husfeldt,
+    Kaski and Koivisto, "Fourier meets Mobius: fast subset convolution",
+    STOC 2007).
     """
     inside = relabeling(xm, xm.bit_length())[0]  # bit j for X's j-th lowest vertex
     outside_bit: dict[int, int] = {}
@@ -245,4 +244,4 @@ def _key_table(edge_masks: Iterable[int], xm: int) -> list[int]:
             for s in range(base, base + step):
                 keys[s] |= keys[s - step]
         step *= 2
-    return keys
+    return keys, list(outside_bit)

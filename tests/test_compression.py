@@ -17,7 +17,7 @@ from transversals import (
     find_split,
     project,
 )
-from transversals.bitsets import mask_of, set_of
+from transversals.bitsets import iter_bits, mask_of, set_of
 from transversals.compression import DEFAULT_ALPHA, _first_split, _key_table
 from transversals.hypergraph import _crit_key
 
@@ -325,14 +325,21 @@ class TestProjectionMemo:
         "h", [tv.gen_lower_bound(4, 17), packed_blocks(4, 4, 2)], ids=["lb4-n17", "blocks-4-4-2"]
     )
     def test_inner_runs_once_per_distinct_projection(self, h, monkeypatch):
-        calls = []
+        calls, built = [], []
+        build = Hypergraph._from_masks.__func__
 
         def counted(hh, sink, **kwargs):
             calls.append(hh)
             return tv.enumerate_rank3(hh, sink, **kwargs)
 
+        def counted_build(cls, n, masks):
+            built.append(n)
+            return build(cls, n, masks)
+
         monkeypatch.setattr(compression, "enumerate_rank3", counted)
+        monkeypatch.setattr(Hypergraph, "_from_masks", classmethod(counted_build))
         enumerate_compression(h, lambda t: None)
+        assert len(built) == len(calls)  # one hypergraph build per inner run: its key's parts
         assert len(calls) == len(set(calls)) == distinct_projections(h) < 1 << len(find_split(h))
 
     def test_failed_inner_run_caches_nothing(self, monkeypatch):
@@ -387,11 +394,15 @@ class TestPhase2Masks:
     def test_keys_partition_subsets_like_projections(self, deck, alpha, inner):
         for h, x, subsets in anchored(deck, alpha):
             full = (1 << len(x)) - 1
-            keys = _key_table(h.edge_masks(), mask_of(x))
+            keys, parts = _key_table(h.edge_masks(), mask_of(x))
+            assert len(set(parts)) == len(parts)
             by_key, by_projection = defaultdict(set), defaultdict(set)
             for counter, n_sub in subsets:
-                by_key[keys[full ^ counter]].add(counter)
-                by_projection[project(h, x, n_sub).edges].add(counter)
+                key, projected = keys[full ^ counter], project(h, x, n_sub)
+                by_key[key].add(counter)
+                by_projection[projected.edges].add(counter)
+                # the engine builds N's inner hypergraph from the parts its key names
+                assert {parts[i] for i in iter_bits(key)} == set(projected.edge_masks())
             assert sorted(map(sorted, by_key.values())) == sorted(map(sorted, by_projection.values()))
 
     @PHASE2_DECKS
