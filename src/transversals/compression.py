@@ -51,8 +51,8 @@ member's private edges, and Y must miss one of each. A member with a
 private edge that no Y of N's key hits keeps it against every Y, so the
 crit test takes those edges as the ones outside reach, as the kernel
 does with the edges its working vertices cannot hit, and leaves such
-members out. N's fold (`hypergraph._fold_bytes`) comes from byte tables over X's own
-incidence rows, indexed by N's bits over X. X, N and each Y stay masks.
+members out. N's fold is the input's own (`Hypergraph._fold`), as each
+Y's is. X, N and each Y stay masks.
 N steps through X's submasks in increasing order: the binary-counter
 order, bit j standing for X's j-th vertex.
 """
@@ -60,16 +60,15 @@ order, bit j standing for X's j-th vertex.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Iterable, Iterator
-from functools import partial, reduce
+from functools import reduce
 from itertools import combinations
 from operator import and_
 
 from . import _loader
-from .bitsets import byte_tables, iter_bits, mask_of, relabeling, set_of
+from .bitsets import iter_bits, mask_of, relabeling, set_of
 from .errors import UnsupportedInstanceError
-from .hypergraph import Hypergraph, SearchStats, TransversalSink, _fold_byte, _fold_bytes, _private_edges
+from .hypergraph import Hypergraph, SearchStats, TransversalSink, _private_edges
 from .rank3 import enumerate_rank3
 
 #: rankk's engine, its module loaded on the first call: only inputs above rank 4 need it.
@@ -169,12 +168,11 @@ def enumerate_compression(h: Hypergraph, sink: TransversalSink, *, alpha: float 
             f"anchor of {width} vertices exceeds compression's guard ({_MAX_ANCHOR}): "
             f"phase 2 would solve 2^{width} subproblems"
         )
-    # Looked up in the module globals at run time: the benchmark trace and
-    # the tests patch them there.
+    # Looked up in the module globals at run time: the benchmark trace and the tests patch them there.
     inner = enumerate_rank3 if h.rank() <= 4 else enumerate_rankk
 
-    # One key per N, equal for exactly the N with equal projections. The c-th
-    # N has key keys[full ^ c] = keys[full - c], so the loop reads keys backwards.
+    # One key per N, equal for exactly the N with equal projections. The i-th N,
+    # i its bits over X, has key keys[full ^ i] = keys[full - i], so the loop reads keys backwards.
     try:
         keys, parts = _key_table(h.edge_masks(), xm)
     except MemoryError:
@@ -182,15 +180,12 @@ def enumerate_compression(h: Hypergraph, sink: TransversalSink, *, alpha: float 
     # The inner runs see the vertices outside X only, relabelled in order to 1..n - |X|.
     squeeze, spread = relabeling(((2 << h.n) - 1) & ~xm, h.n)
     parts = list(map(squeeze, parts))
-    inc = h._incidence()
-    folds = byte_tables(width - 1, partial(_fold_byte, tuple(inc[v] for v in iter_bits(xm))))
     # Per distinct key: the inner outputs Y as masks, each with the edges it
-    # misses, and the edges that every Y misses.
-    memo: dict[int, tuple[list[tuple[int, int]], int]] = {}
-    times = Counter(keys)  # the N of each key, each of which counts the key's inner run once
+    # misses, the edges that every Y misses, and the inner run's nodes (X kept) and leaves.
+    memo: dict[int, tuple[list[tuple[int, int]], int, int, int]] = {}
 
     n_mask = outputs = 0
-    for c, key in enumerate(reversed(keys)):
+    for key in reversed(keys):
         hit = memo.get(key)
         if hit is None:
             edges = [parts[i] for i in iter_bits(key)]
@@ -199,16 +194,16 @@ def enumerate_compression(h: Hypergraph, sink: TransversalSink, *, alpha: float 
             # Kept, X's vertices would be isolated, and both inner engines discard
             # those first, one node each, unless the root is already a leaf.
             lift = width if edges and 0 not in edges else 0
-            stats.nodes += times[key] * (run.nodes + lift)
-            stats.leaves += times[key] * run.leaves
             stats.max_depth = max(stats.max_depth, run.max_depth + lift)
             ys = [(y, ~h._fold(y)[0]) for y in map(spread, found)]
-            hit = memo[key] = ys, reduce(and_, (miss_y for _, miss_y in ys), -1)
-        ys, never = hit
+            hit = memo[key] = ys, reduce(and_, (miss_y for _, miss_y in ys), -1), run.nodes + lift, run.leaves
+        ys, never, run_nodes, run_leaves = hit
+        stats.nodes += run_nodes  # each N counts its key's inner run once
+        stats.leaves += run_leaves
         if ys:
             # The final filter: N | Y is minimal iff each member of N keeps a private edge
             # that Y misses; the crit test leaves out the members with one that no Y hits.
-            privs = _private_edges(never, _fold_bytes(c, folds))
+            privs = _private_edges(never, h._fold(n_mask))
             if privs is not None:
                 for y, miss_y in ys:
                     if all(map(miss_y.__and__, privs)):

@@ -186,6 +186,11 @@ def apply_rule(inst: Instance, rule: RuleId) -> list[Instance]:
     return [inst.branch(s, d) for s, d in rule.branches]
 
 
+def _step(inst: Instance, _: None) -> list[tuple[Instance, None]]:
+    """rank3's `hypergraph.BranchStep`: the first applicable rule's children, carrying nothing."""
+    return [(c, None) for c in apply_rule(inst, next_rule(inst))]
+
+
 def enumerate_rank3(
     h: Hypergraph,
     sink: TransversalSink,
@@ -203,7 +208,7 @@ def enumerate_rank3(
         raise UnsupportedInstanceError(f"rank {h.rank()} input; this engine handles rank <= 3")
     root = Instance(h)
     if not check_measure:
-        return search(root, lambda inst, _: [(c, None) for c in apply_rule(inst, next_rule(inst))], h, sink)
+        return search(root, _step, h, sink)
     from .analysis import DEFAULT_WEIGHTS, mask_measure  # the toolbox loads only for this check
 
     def scaled(inst: Instance) -> float:

@@ -15,7 +15,7 @@ import transversals as tv
 from transversals import Hypergraph, Instance, cli, hypergraph, rank3, serialize_hypergraph
 from transversals.bitsets import PackedSink, mask_of, set_of
 from transversals.hypergraph import search
-from transversals.rank3 import apply_rule, next_rule
+from transversals.rank3 import _step as rank3_step, apply_rule, next_rule
 from transversals.rankk import _branch_step, _subsumed
 
 from helpers import instance_deck, partial_root, rankk_inner
@@ -106,10 +106,6 @@ def test_next_rule_runs_once_per_distinct_state(monkeypatch):
             stats = tv.enumerate_rank3(h, sink)
             assert (stats.nodes, stats.leaves) == (2123, 1000)
             assert calls == want, (sink, budget)
-
-
-def rank3_step(inst, _):
-    return [(c, None) for c in apply_rule(inst, next_rule(inst))]
 
 
 @pytest.mark.parametrize("budget", [DEFAULT, 8, 1])
