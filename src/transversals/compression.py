@@ -178,7 +178,7 @@ def enumerate_compression(h: Hypergraph, sink: TransversalSink, *, alpha: float 
     except MemoryError:
         raise UnsupportedInstanceError(f"no memory for compression's 2^{width} subsets of its anchor") from None
     # The inner runs see the vertices outside X only, relabelled in order to 1..n - |X|.
-    squeeze, spread = relabeling(((2 << h.n) - 1) & ~xm, h.n)
+    squeeze, spread = relabeling(((2 << h.n) - 1) & ~xm)
     parts = list(map(squeeze, parts))
     # Per distinct key: the inner outputs Y as masks, each with the edges it
     # misses, the edges that every Y misses, and the inner run's nodes (X kept) and leaves.
@@ -227,7 +227,7 @@ def _key_table(edge_masks: Iterable[int], xm: int) -> tuple[list[int], list[int]
     Kaski and Koivisto, "Fourier meets Mobius: fast subset convolution",
     STOC 2007).
     """
-    inside = relabeling(xm, xm.bit_length())[0]  # bit j for X's j-th lowest vertex
+    inside = relabeling(xm)[0]  # bit j for X's j-th lowest vertex
     outside_bit: dict[int, int] = {}
     keys = [0] * (1 << xm.bit_count())
     for e in edge_masks:

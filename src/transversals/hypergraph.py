@@ -35,7 +35,7 @@ from operator import index
 from types import SimpleNamespace
 from typing import Any
 
-from .bitsets import ByteTable, PackedSink, byte_entries, byte_tables, each_mask, edge_key, iter_bits, set_of, xor_each
+from .bitsets import ByteTable, PackedSink, byte_tables, each_mask, edge_key, iter_bits, set_of, xor_each
 from .errors import ParseError, SearchInvariantError
 
 #: Consumer invoked exactly once per enumerated minimal transversal, with
@@ -52,19 +52,6 @@ def _fold_byte(inc: tuple[int, ...], j: int, b: int) -> tuple[int, int, tuple[in
     for row in rows:
         twice |= once & row
         once |= row
-    return once, twice, rows
-
-
-def _fold_bytes(s: int, tables: list[ByteTable]) -> tuple[int, int, list[int]]:
-    """The fold of s through byte tables that `_fold_byte` fills: the edges
-    hit once or more and twice or more, and the rows in ascending order.
-    The bytes combine as twice |= t | (once & o), once |= o."""
-    once = twice = 0
-    rows: list[int] = []
-    for o, t, r in byte_entries(s, tables):
-        twice |= t | (once & o)
-        once |= o
-        rows += r
     return once, twice, rows
 
 
@@ -159,16 +146,22 @@ class Hypergraph:
         or more, and the incidence rows of its members in ascending order.
 
         A set of one vertex or none reads its row, if any, directly. Larger
-        ones are folded a byte of vertices at a time: each byte's
-        (once, twice, rows) comes from a table filled on first use
-        (`_fold_bytes`).
+        ones are folded a byte of vertices at a time: each nonzero byte's
+        (once, twice, rows) comes from a table that `_fold_byte` fills on
+        first use, and the bytes combine as twice |= t | (once & o), once |= o.
         """
         if not s & (s - 1):
             rows = (self._incidence()[s.bit_length() - 1],) if s else ()
             return sum(rows), 0, rows  # once is the one row, or 0
         if self._folds is None:
             self._folds = byte_tables(self.n, partial(_fold_byte, self._incidence()))
-        once, twice, rows = _fold_bytes(s, self._folds)
+        once, twice, rows = 0, 0, []
+        for table, b in zip(self._folds, s.to_bytes(len(self._folds), "little")):
+            if b:
+                o, t, r = table[b]
+                twice |= t | (once & o)
+                once |= o
+                rows += r
         return once, twice, tuple(rows)
 
     def is_minimal_transversal(self, s: Iterable[int] | int, fold: tuple | None = None) -> bool:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import transversals as tv
 from transversals import Hypergraph, Instance, ParseError, parse_hypergraph, serialize_hypergraph
-from transversals.bitsets import byte_entries, byte_tables, edge_key, iter_bits, mask_of, set_of
+from transversals.bitsets import byte_tables, edge_key, iter_bits, mask_of, relabeling, set_of
 
 from helpers import instance_deck, minimal_by_definition
 
@@ -298,7 +298,7 @@ def byte_boundary_sets(h, seed, count=60):
 class TestByteBoundaries:
     """The per-byte fold of the minimality check, at the edges of its bytes."""
 
-    def test_byte_entries_fill_each_byte_value_once(self):
+    def test_byte_tables_fill_each_byte_value_once(self):
         calls = []
 
         def fill(j, b):
@@ -307,10 +307,14 @@ class TestByteBoundaries:
 
         tables = byte_tables(17, fill)
         assert len(tables) == 3
-        assert byte_entries(0, tables) == []
-        assert byte_entries(mask_of([7, 8, 17]), tables) == [[7], [8], [17]]
-        assert byte_entries(mask_of([8, 9, 17]), tables) == [[8, 9], [17]]
-        assert byte_entries(mask_of([7, 17]), tables) == [[7], [17]]
+
+        def entries(mask):  # read as the fold reads them: the nonzero bytes, lowest first
+            return [table[b] for table, b in zip(tables, mask.to_bytes(len(tables), "little")) if b]
+
+        assert entries(0) == []
+        assert entries(mask_of([7, 8, 17])) == [[7], [8], [17]]
+        assert entries(mask_of([8, 9, 17])) == [[8, 9], [17]]
+        assert entries(mask_of([7, 17])) == [[7], [17]]
         assert calls == [(0, 0x80), (1, 0x01), (2, 0x02), (1, 0x03)]
         assert [dict(t) for t in tables] == [{0x80: [7]}, {0x01: [8], 0x03: [8, 9]}, {0x02: [17]}]
 
@@ -426,6 +430,40 @@ class TestByteBoundaries:
         for m in bad:
             with pytest.raises(ValueError, match=rf"out of range 1\.\.{n}$"):
                 h.is_minimal_transversal(m, fold=(0, 0, ()))
+
+
+class TestRelabeling:
+    """`relabeling(keep)`: squeeze packs the bits of keep down to 0..popcount(keep) - 1, spread puts them back."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.sampled_from([0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 200]),
+        bit0=st.booleans(),
+        data=st.data(),
+    )
+    def test_squeeze_and_spread_invert_each_other(self, n, bit0, data):
+        keep = data.draw(st.integers(0, (2 << n) - 1)) & ~1 | bit0
+        m = data.draw(st.integers(0, (2 << n) - 1))
+        c = data.draw(st.integers(0, (1 << keep.bit_count()) - 1))
+        squeeze, spread = relabeling(keep)
+        spots = list(iter_bits(keep))
+        # m's bits outside keep go, and its kept bits stay in their order
+        assert list(iter_bits(squeeze(m))) == [i for i, v in enumerate(spots) if m >> v & 1]
+        assert spread(squeeze(m)) == m & keep
+        assert squeeze(spread(c)) == c
+
+    def test_compression_uses(self):
+        n, xm = 12, mask_of([2, 5, 9, 12])
+        # the key table's: X's j-th lowest vertex to bit j
+        inside = relabeling(xm)[0]
+        assert [inside(1 << v) for v in (2, 5, 9, 12)] == [1, 2, 4, 8]
+        assert inside(mask_of([5, 12])) == 0b1010
+        # phase 2's: bit 0 kept, the vertices outside X to 1..n - |X| in their order
+        squeeze, spread = relabeling(((2 << n) - 1) & ~xm)
+        outside = [v for v in range(1, n + 1) if not xm >> v & 1]
+        assert [squeeze(1 << v) for v in outside] == [1 << i for i in range(1, n - 4 + 1)]
+        assert squeeze(xm) == 0
+        assert spread(mask_of(range(1, n - 4 + 1))) == mask_of(outside)
 
 
 class TestTransversalMask:

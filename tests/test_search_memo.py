@@ -228,12 +228,12 @@ def test_fold_runs_once_per_stored_child_adding_two_or_more_vertices(monkeypatch
     # The other 60 folds are U's, once per stored state visited again. Sets of
     # one vertex or none read their row directly, so only table folds count.
     folds = multi = 0
-    fold = hypergraph._fold_bytes
+    fold = Hypergraph._fold
 
-    def counted_fold(s, tables):
+    def counted_fold(self, s):
         nonlocal folds
-        folds += 1
-        return fold(s, tables)
+        folds += s.bit_count() >= 2
+        return fold(self, s)
 
     def counted_rule(inst, rule):
         nonlocal multi
@@ -241,7 +241,7 @@ def test_fold_runs_once_per_stored_child_adding_two_or_more_vertices(monkeypatch
         multi += sum((c.smask ^ inst.smask).bit_count() >= 2 for c in children)
         return children
 
-    monkeypatch.setattr(hypergraph, "_fold_bytes", counted_fold)
+    monkeypatch.setattr(Hypergraph, "_fold", counted_fold)
     monkeypatch.setattr(rank3, "apply_rule", counted_rule)
     stats = tv.enumerate_rank3(tv.gen_lower_bound(3, 15), lambda t: None)
     assert (stats.nodes, stats.leaves) == (2123, 1000)
