@@ -200,7 +200,7 @@ def _block_size(h: Hypergraph, out) -> int:
     out alone."""
     if getattr(out, "line_buffering", False):
         return 1
-    longest = min(h.n, len(h.edge_masks())) * (len(str(h.n)) + 1)
+    longest = min(h.n, len(h._masks)) * (len(str(h.n)) + 1)
     return max(1, min(_BLOCK, _BLOCK_BYTES // max(longest, 1)))
 
 

@@ -104,7 +104,7 @@ def project(h: Hypergraph, x: Iterable[int] | int, n_sub: Iterable[int] | int) -
         raise ValueError("N must be a subset of X")
     h._check_mask(xm)
     keep = ~xm  # the kept edges miss n_sub, so stripping x strips x - n_sub
-    return Hypergraph._from_masks(h.n, (e & keep for e in h.edge_masks() if not e & nm))
+    return Hypergraph._from_masks(h.n, (e & keep for e in h._masks if not e & nm))
 
 
 def _subsets(n: int, size: int) -> Iterator[int]:
@@ -174,7 +174,7 @@ def enumerate_compression(h: Hypergraph, sink: TransversalSink, *, alpha: float 
     # One key per N, equal for exactly the N with equal projections. The i-th N,
     # i its bits over X, has key keys[full ^ i] = keys[full - i], so the loop reads keys backwards.
     try:
-        keys, parts = _key_table(h.edge_masks(), xm)
+        keys, parts = _key_table(h._masks, xm)
     except MemoryError:
         raise UnsupportedInstanceError(f"no memory for compression's 2^{width} subsets of its anchor") from None
     # The inner runs see the vertices outside X only, relabelled in order to 1..n - |X|.

@@ -1,12 +1,11 @@
 """Hypergraph data model, text I/O, and the primitives shared by all engines.
 
 Vertices are the integers 1..n. Edges have set semantics: duplicates
-collapse, and every edge is kept in ascending vertex order, with edges
-ordered lexicographically (the canonical edge order used for tie-breaking
-everywhere else in the package).
+collapse and no order is kept. Shown, they follow the canonical edge order
+(ascending vertex lists, lexicographically), the package's tie-break.
 
-A hypergraph stores only its edge masks (bit v for vertex v), in the
-canonical order `bitsets.edge_key`; `edges` derives the vertex sets. An
+A hypergraph stores only its edge masks (bit v for vertex v), as a
+frozenset; `edges` and `edge_masks()` list them in the canonical order. An
 incidence row per vertex over edge indices is built on first use, and
 the minimality check folds a set's rows eight vertices at a time: one
 table per byte of vertices maps each byte value, on first use, to its
@@ -58,6 +57,8 @@ def _fold_byte(inc: tuple[int, ...], j: int, b: int) -> tuple[int, int, tuple[in
 class Hypergraph:
     """Immutable hypergraph on the vertex universe 1..n.
 
+    Its edge masks are a frozenset, shown in the canonical order (`edges`,
+    `edge_masks()`, repr, text); incidence row bit i is the set's i-th mask.
     The empty edge is legal (no set hits it). Isolated vertices are legal.
     Values are safe to share between concurrent enumeration runs: the
     incidence rows and per-byte tables are caches built on first use,
@@ -71,8 +72,7 @@ class Hypergraph:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         self.n = n
-        masks = {self._vertex_mask(e) for e in edges}
-        self._masks: tuple[int, ...] = tuple(sorted(masks, key=edge_key))
+        self._masks: frozenset[int] = frozenset(map(self._vertex_mask, edges))
         self._inc: tuple[int, ...] | None = None
         self._folds: list[ByteTable] | None = None
 
@@ -80,13 +80,13 @@ class Hypergraph:
     def _from_masks(cls, n: int, masks: Iterable[int]) -> Hypergraph:
         """A hypergraph from edge masks that the caller has range-checked."""
         h = cls(n)
-        h._masks = tuple(sorted(set(masks), key=edge_key))
+        h._masks = frozenset(masks)
         return h
 
     @property
     def edges(self) -> tuple[frozenset[int], ...]:
         """The edges as vertex sets, in the canonical order."""
-        return tuple(map(set_of, self._masks))
+        return tuple(map(set_of, self.edge_masks()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypergraph):
@@ -97,7 +97,7 @@ class Hypergraph:
         return hash((self.n, self._masks))
 
     def __repr__(self) -> str:
-        shown = [list(iter_bits(e)) for e in self._masks]
+        shown = [list(iter_bits(e)) for e in self.edge_masks()]
         return f"Hypergraph({self.n}, {shown})"
 
     def rank(self) -> int:
@@ -106,7 +106,7 @@ class Hypergraph:
 
     def edge_masks(self) -> tuple[int, ...]:
         """The stored edge masks, in the canonical order."""
-        return self._masks
+        return tuple(sorted(self._masks, key=edge_key))
 
     def _vertex_mask(self, vertices: Iterable[int]) -> int:
         """The mask of vertices; TypeError on a non-integral id, ValueError on one outside 1..n."""
@@ -202,7 +202,7 @@ class Instance:
 
     def __init__(self, h: Hypergraph) -> None:
         self.vmask = (1 << (h.n + 1)) - 2
-        self.emasks = frozenset(h.edge_masks())
+        self.emasks = h._masks
         self.smask = 0
 
     def _spawn(self, vmask: int, emasks: frozenset[int], smask: int) -> Instance:
@@ -536,5 +536,5 @@ def parse_hypergraph(text: str) -> Hypergraph:
 def serialize_hypergraph(h: Hypergraph) -> str:
     """Render in the text format accepted by parse_hypergraph."""
     lines = [f"p hg {h.n} {len(h._masks)}"]
-    lines.extend(" ".join(map(str, iter_bits(e))) for e in h._masks)
+    lines.extend(" ".join(map(str, iter_bits(e))) for e in h.edge_masks())
     return "\n".join(lines) + "\n"

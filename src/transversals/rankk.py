@@ -18,29 +18,30 @@ The reductions stay apart from rank3's: its R1_1 drops only size-3
 supersets of small edges, R2 here any strict superset, so one shared
 rule would change one engine's tree.
 
-The subsumed-edge rule drops the canonically smallest edge that strictly
-contains another edge. The set of such edges is computed once at the root
-and carried down the tree. A child keeps the parent's subsumed edges that
-it still has and adds the strict-subset pairs that involve a mask new in
-the child. Only discarding creates new masks, by shrinking the edges
-through the discarded vertices; selecting and drop_edge only remove
-edges. A new pair must involve a new mask, and a subsumed edge that survives
-unchanged keeps its witness: the rule never drops an inclusion-minimal
-edge, a select that removes the witness removes the superset too, and a
-discard that shrinks the witness changes the superset's mask as well. So
-a child costs O(|new masks| * |E|) instead of a rescan of all edge pairs.
-The root's set also gives the input's inclusion-minimal edges, which have
-the same minimal transversals as the input; the leaf check runs on them.
+The subsumed-edge rule drops the least mask among the edges that strictly
+contain another edge; any would do, as a drop leaves the rest subsumed and
+R1's discards of the vertices it isolates change no edge, so the chain
+ends at one state after as many one-child nodes. The set of such edges is
+computed once at the root and carried down the tree. A child keeps the
+parent's subsumed edges that it still has and adds the strict-subset pairs
+that involve a mask new in the child. Only discarding creates new masks,
+by shrinking the edges through the discarded vertices; selecting and
+drop_edge only remove edges. A new pair must involve a new mask, and a
+subsumed edge that survives unchanged keeps its witness: the rule never
+drops an inclusion-minimal edge, a select that removes the witness removes
+the superset too, and a discard that shrinks the witness changes the
+superset's mask as well. So a child costs O(|new masks| * |E|) instead of
+a rescan of all edge pairs. The root's set also gives the input's
+inclusion-minimal edges, which have the same minimal transversals as the
+input; the leaf check runs on them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from functools import cache
 from itertools import groupby
 
 from .bitsets import edge_key, iter_bits
-from .hypergraph import BranchStep, Hypergraph, Instance, SearchStats, TransversalSink, search
+from .hypergraph import Hypergraph, Instance, SearchStats, TransversalSink, search
 
 
 def _subsumed(edges: frozenset[int]) -> set[int]:
@@ -77,23 +78,21 @@ def _derive_subsumed(subsumed: set[int], parent: frozenset[int], child: frozense
     return out
 
 
-def _choose_b2(
-    edges: frozenset[int], key: Callable[[int], tuple[bytes, int]] = edge_key
-) -> tuple[int, int, tuple[int, ...]]:
+def _choose_b2(edges: frozenset[int]) -> tuple[int, int, tuple[int, ...]]:
     """The smallest edge e, its maximum-overlap partner, and the branch order.
 
-    Ties go to the canonically first edge (`key`); the order lists e's
+    Ties go to the canonically first edge; the order lists e's
     vertices shared with the partner first. Under the branch's
     preconditions (degrees >= 2) every edge meets another one, so a
     partner-less edge raises ValueError rather than being picked.
     """
     min_size = min(e.bit_count() for e in edges)
-    e = min((x for x in edges if x.bit_count() == min_size), key=key)
+    e = min((x for x in edges if x.bit_count() == min_size), key=edge_key)
     partners = [f for f in edges if f != e and f & e]
     if not partners:
         raise ValueError("smallest edge overlaps no other edge; an earlier rule applies")
     best = max((f & e).bit_count() for f in partners)
-    e_prime = min((f for f in partners if (f & e).bit_count() == best), key=key)
+    e_prime = min((f for f in partners if (f & e).bit_count() == best), key=edge_key)
     ordering = (*iter_bits(e & e_prime), *iter_bits(e & ~e_prime))
     return e, e_prime, ordering
 
@@ -103,46 +102,37 @@ def enumerate_rankk(h: Hypergraph, sink: TransversalSink) -> SearchStats:
     root = Instance(h)
     subsumed = _subsumed(root.emasks)
     leaf_graph = Hypergraph._from_masks(h.n, root.emasks - subsumed)
-    return search(root, _branch_step(), leaf_graph, sink, subsumed)
+    return search(root, _step, leaf_graph, sink, subsumed)
 
 
-def _branch_step() -> BranchStep:
-    """The rules R1..B2 for one run of the kernel.
+def _step(inst: Instance, subsumed: set[int]) -> list[tuple[Instance, set[int]]]:
+    """The rules R1..B2; the value carried with each state is the set of
+    its edges that strictly contain another of its edges."""
+    edges = inst.emasks
+    s1 = s2 = 0  # vertices of degree >= 1, >= 2
+    for e in edges:
+        s2 |= s1 & e
+        s1 |= e
+    isolated = inst.vmask & ~s1
 
-    The value carried with each state is the set of its edges that
-    strictly contain another of its edges; the canonical edge order is
-    memoized for the run.
-    """
-    key = cache(edge_key)
-
-    def branch(inst: Instance, subsumed: set[int]) -> list[tuple[Instance, set[int]]]:
-        edges = inst.emasks
-        s1 = s2 = 0  # vertices of degree >= 1, >= 2
-        for e in edges:
-            s2 |= s1 & e
-            s1 |= e
-        isolated = inst.vmask & ~s1
-
-        children: list[Instance]
-        if isolated:  # R1
-            children = [inst.discard((isolated & -isolated).bit_length() - 1)]
-        elif subsumed:  # R2
-            children = [inst.drop_edge(min(subsumed, key=key))]
-        else:
-            units = [e for e in edges if e.bit_count() == 1]
-            if units:  # R3
-                children = [inst.select(min(units).bit_length() - 1)]
-            elif ones := s1 & ~s2:  # B1 on the lowest degree-1 vertex
-                vb = ones & -ones
-                em = next(e for e in edges if e & vb)
-                children = [inst.discard(vb.bit_length() - 1), inst.branch(vb, em ^ vb)]
-            else:  # B2: child i selects v_i and discards v_1..v_{i-1}
-                children = []
-                dis = 0
-                for v in _choose_b2(edges, key)[2]:
-                    vb = 1 << v
-                    children.append(inst.branch(vb, dis))
-                    dis |= vb
-        return [(child, _derive_subsumed(subsumed, edges, child.emasks)) for child in children]
-
-    return branch
+    children: list[Instance]
+    if isolated:  # R1
+        children = [inst.discard((isolated & -isolated).bit_length() - 1)]
+    elif subsumed:  # R2
+        children = [inst.drop_edge(min(subsumed))]
+    else:
+        units = [e for e in edges if e.bit_count() == 1]
+        if units:  # R3
+            children = [inst.select(min(units).bit_length() - 1)]
+        elif ones := s1 & ~s2:  # B1 on the lowest degree-1 vertex
+            vb = ones & -ones
+            em = next(e for e in edges if e & vb)
+            children = [inst.discard(vb.bit_length() - 1), inst.branch(vb, em ^ vb)]
+        else:  # B2: child i selects v_i and discards v_1..v_{i-1}
+            children = []
+            dis = 0
+            for v in _choose_b2(edges)[2]:
+                vb = 1 << v
+                children.append(inst.branch(vb, dis))
+                dis |= vb
+    return [(child, _derive_subsumed(subsumed, edges, child.emasks)) for child in children]

@@ -135,10 +135,15 @@ def mask_constructor_cases():
     ]
 
 
+def emitted_with_stats(engine, h):
+    out = []
+    return engine(h, out.append), out
+
+
 class TestFromMasks:
     @pytest.mark.parametrize("h", mask_constructor_cases())
     def test_equals_public_constructor(self, h):
-        # Reversed and repeated masks: the constructor dedupes and sorts.
+        # Reversed and repeated masks: the constructor dedupes them.
         built = Hypergraph._from_masks(h.n, list(reversed(h.edge_masks())) * 2)
         public = Hypergraph(h.n, h.edges)
         assert built == public and hash(built) == hash(public)
@@ -148,6 +153,23 @@ class TestFromMasks:
         assert repr(built) == repr(public)
         assert serialize_hypergraph(built) == serialize_hypergraph(public)
         assert parse_hypergraph(serialize_hypergraph(h)) == h
+
+        # The input's edge order changes nothing: shuffled, partly repeated edges and shuffled edge lines.
+        rng = random.Random(serialize_hypergraph(h))
+        edges = list(h.edges) + rng.sample(h.edges, len(h.edges) // 2)
+        rng.shuffle(edges)
+        header, *lines = serialize_hypergraph(h).split("\n")[:-1]
+        rng.shuffle(lines)
+        engines = [tv.enumerate_rankk]
+        if h.rank() <= 3:
+            engines.append(tv.enumerate_rank3)
+        if h.rank() == 4 and h.n <= 16:
+            engines.append(tv.enumerate_compression)
+        for other in (Hypergraph(h.n, edges), parse_hypergraph("\n".join([header, *lines, ""]))):
+            assert other == h and hash(other) == hash(h)
+            assert other.edge_masks() == h.edge_masks() and other.edges == h.edges
+            for engine in engines:
+                assert emitted_with_stats(engine, other) == emitted_with_stats(engine, h)
 
     def test_ranks_and_empty_edges_covered(self):
         cases = mask_constructor_cases()
@@ -246,7 +268,7 @@ class TestIncidenceMinimality:
         assert h._inc is None
         assert h.is_minimal_transversal({1, 2})
         rows = h._inc
-        assert rows == (0, 0b011, 0b101, 0b110)
+        assert rows == tuple(sum(1 << i for i, e in enumerate(h._masks) if e >> v & 1) for v in range(4))
         assert not h.is_minimal_transversal({1, 2, 3})
         assert h._inc is rows
         assert twin._inc is None

@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import transversals as tv
-from transversals import Hypergraph, Instance, enumerate_rankk, rankk
+from transversals import Hypergraph, Instance, enumerate_rankk, hypergraph, rankk
 from transversals.bitsets import mask_of, set_of
 from transversals.hypergraph import search
-from transversals.rankk import _branch_step, _choose_b2, _subsumed
+from transversals.rankk import _choose_b2, _step as rankk_step, _subsumed
 
 from helpers import canon, emitted, instance_deck, no_memo, oracle, run  # noqa: F401 (no_memo is a fixture)
 
@@ -113,7 +115,7 @@ class TestEnumerate:
 
 def branch_outputs(h, inst):
     out = []
-    search(inst, _branch_step(), h, out.append, _subsumed(inst.emasks))
+    search(inst, rankk_step, h, out.append, _subsumed(inst.emasks))
     return canon(map(set_of, out))  # the kernel emits masks
 
 
@@ -232,6 +234,47 @@ class TestCarriedSubsumedSet:
     def test_superset_heavy_inputs_match_oracle(self):
         for h in superset_heavy():
             assert run(enumerate_rankk, h) == oracle(h)
+
+
+@st.composite
+def redundant_decks(draw):
+    """Rank 2 to 6 on at most 14 vertices: edges below the rank, plus
+    redundant supersets, each an edge plus one or two vertices."""
+    k = draw(st.integers(2, 6))
+    n = draw(st.integers(k, 14))
+    vertex = st.integers(1, n)
+    base = draw(st.lists(st.frozensets(vertex, min_size=1, max_size=k - 1), min_size=1, max_size=10))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(base), st.frozensets(vertex, min_size=1, max_size=2))))
+    return Hypergraph(n, base + [e | extra for e, extra in pairs if e < e | extra and len(e | extra) <= k])
+
+
+def r2_drops_max(inst, subsumed):
+    """rankk's step, but R2 drops the greatest subsumed mask instead of the least."""
+    isolated = inst.vmask
+    for e in inst.emasks:
+        isolated &= ~e
+    if isolated or not subsumed:
+        return rankk_step(inst, subsumed)
+    child = inst.drop_edge(max(subsumed))
+    return [(child, rankk._derive_subsumed(subsumed, inst.emasks, child.emasks))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(redundant_decks())
+@example(grown(tv.gen_lower_bound(3, 10), lambda e: (min(e) + 4) % 10 + 1))
+def test_r2_choice_is_unobservable(h):
+    # any subsumed edge may go first: the emitted sequence and the stats stay the same
+    root = Instance(h)
+    subsumed = _subsumed(root.emasks)
+    leaf_graph = Hypergraph._from_masks(h.n, root.emasks - subsumed)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for budget in (hypergraph._MEMO_MASKS, 0):
+            monkeypatch.setattr(hypergraph, "_MEMO_MASKS", budget)
+            results = []
+            for step in (rankk_step, r2_drops_max):
+                out = []
+                results.append((search(root, step, leaf_graph, out.append, subsumed), out))
+            assert results[0] == results[1]
 
 
 @pytest.mark.parametrize(

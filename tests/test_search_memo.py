@@ -16,7 +16,7 @@ from transversals import Hypergraph, Instance, cli, hypergraph, rank3, serialize
 from transversals.bitsets import PackedSink, mask_of, set_of
 from transversals.hypergraph import search
 from transversals.rank3 import _step as rank3_step, apply_rule, next_rule
-from transversals.rankk import _branch_step, _subsumed
+from transversals.rankk import _step as rankk_step, _subsumed
 
 from helpers import instance_deck, partial_root, rankk_inner
 
@@ -123,7 +123,7 @@ def test_branch_sees_the_true_partial_set(h, budget, monkeypatch):
 
         return seen, recording
 
-    for step, carry in ((rank3_step, None), (_branch_step(), _subsumed(frozenset(h.edge_masks())))):
+    for step, carry in ((rank3_step, None), (rankk_step, _subsumed(frozenset(h.edge_masks())))):
         if step is rank3_step and h.rank() > 3:
             continue
         monkeypatch.setattr(hypergraph, "_MEMO_MASKS", 0)
@@ -212,7 +212,7 @@ def test_carried_fold_from_a_partial_root(n, monkeypatch):
     found = []
     tv.enumerate_rankk(h, found.append)
     want = sorted(pm | m for m in found)
-    for step, carry in ((rank3_step, None), (_branch_step(), _subsumed(frozenset(h.edge_masks())))):
+    for step, carry in ((rank3_step, None), (rankk_step, _subsumed(frozenset(h.edge_masks())))):
         for budget in BUDGETS:
             monkeypatch.setattr(hypergraph, "_MEMO_MASKS", budget)
             folded.clear()
@@ -292,7 +292,7 @@ def test_count_only_from_a_partial_root(n, monkeypatch):
     drawn = tv.gen_random(k=3, n=n, m=2 * n, seed=n)
     h = Hypergraph(n, [e - partial for e in drawn.edges if e - partial])
     leaf_graph = Hypergraph(n, [*h.edges, *({p} for p in partial)])
-    for step, carry in ((rank3_step, None), (_branch_step(), _subsumed(frozenset(h.edge_masks())))):
+    for step, carry in ((rank3_step, None), (rankk_step, _subsumed(frozenset(h.edge_masks())))):
         for budget in (DEFAULT, 8, 1, 0):
             monkeypatch.setattr(hypergraph, "_MEMO_MASKS", budget)
             root = partial_root(h, partial)
@@ -378,7 +378,7 @@ def test_replay_from_a_partial_root(n):
     h = Hypergraph(n, [e - partial for e in drawn.edges if e - partial])
     leaf_graph = Hypergraph(n, [*h.edges, *({p} for p in partial)])
     root = partial_root(h, partial)
-    for step, carry in ((rank3_step, None), (_branch_step(), _subsumed(frozenset(h.edge_masks())))):
+    for step, carry in ((rank3_step, None), (rankk_step, _subsumed(frozenset(h.edge_masks())))):
         runs = []
         for name, value in [("_REPLAY_CAP", hypergraph._REPLAY_CAP), *FEWER_REPLAYS]:
             with pytest.MonkeyPatch.context() as monkeypatch:
@@ -452,7 +452,7 @@ def test_packed_sink_gets_the_mask_stream(drawn, block):
     root = partial_root(h, chosen)
     runs = [
         partial(search, root, rank3_step, leaf_graph, carry=None),
-        partial(search, root, _branch_step(), leaf_graph, carry=_subsumed(frozenset(h.edge_masks()))),
+        partial(search, root, rankk_step, leaf_graph, carry=_subsumed(frozenset(h.edge_masks()))),
     ]
     if n <= 16:  # above, compression's anchor of isolated vertices passes its guard
         runs.append(partial(tv.enumerate_compression, leaf_graph))  # its final filter calls the sink once per mask
